@@ -38,7 +38,6 @@ from .mixability import (
     Certificate,
     Coupling,
     MixProblem,
-    brute_force_mix,
     certify_convex,
     certify_gap,
     certify_linear,
@@ -81,7 +80,6 @@ __all__ = [
     "PointSystem",
     "block_decomposition",
     "bound_attaining_law",
-    "brute_force_mix",
     "certify_convex",
     "certify_gap",
     "certify_linear",

@@ -128,7 +128,8 @@ def _component_nodes(comp: ComponentPlan) -> list[tuple[Fraction, Fraction]]:
         nodes.append((pos, h))
         pos += comp.d2 * Fraction(1, 2 ** (j + 1))
     nodes.append((pos, TOP))
-    assert pos == comp.length
+    if pos != comp.length:
+        raise RuntimeError(f"component nodes end at {pos}, not at its length {comp.length}")
     return nodes
 
 
@@ -243,8 +244,9 @@ def construct_first_time(law: LocationLaw) -> PiecewiseLinearPath:
     f = law.density
     top = int(f.value(0))
     widths = [generalized_inverse(f, Fraction(level)) for level in range(1, top + 1)]
-    if law.atomInf > 0:
-        assert widths[0] == law.T  # guaranteed by class membership
+    if law.atomInf > 0 and widths[0] != law.T:
+        # guaranteed by class membership
+        raise RuntimeError(f"top layer width {widths[0]} != T with escape mass")
     nodes: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(-1))]
     pos = Fraction(0)
     for w in widths[1:]:
@@ -254,8 +256,9 @@ def construct_first_time(law: LocationLaw) -> PiecewiseLinearPath:
     if law.atom0 > 0:
         pos += law.atom0
         nodes.append((pos, Fraction(-1)))
-    gap = 1 - pos  # == atomInf + widths[0]
-    assert gap == law.atomInf + (widths[0] if widths else 0)
+    gap = 1 - pos
+    if gap != law.atomInf + (widths[0] if widths else 0):
+        raise RuntimeError(f"closing gap {gap} != escape mass plus top layer width")
     nodes.append((pos + gap / 2, -1 + gap / 2))
     nodes.append((Fraction(1), Fraction(-1)))
     return PiecewiseLinearPath(nodes)

@@ -438,7 +438,9 @@ def hull_membership_lp(
                 (c, w) for c, w in zip(candidates, x) if w > 0
             )
             cert = HullCertificate(components)
-            assert cert.mixed() == law or _laws_equal(cert.mixed(), law)
+            mixed = cert.mixed()
+            if not (mixed == law or _laws_equal(mixed, law)):
+                raise RuntimeError("hull certificate does not mix back to the law")
             return cert
 
     forced = _forced_envelope_witness(law)

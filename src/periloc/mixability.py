@@ -12,8 +12,10 @@ small exhaustive oracle for validation.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -156,7 +158,8 @@ def component_distributions(f: PiecewiseDensity, T: Rational) -> MixProblem:
             )
         )
     problem = MixProblem(T=T, f=f, N=N, components=tuple(comps))
-    assert sum(problem.means, Fraction(0)) == integral(f, 0, f.T)
+    if sum(problem.means, Fraction(0)) != integral(f, 0, f.T):
+        raise RuntimeError("component means do not sum to the density's mass")
     return problem
 
 
@@ -215,11 +218,16 @@ def certify_gap(f: PiecewiseDensity, T: Rational) -> Optional[Certificate]:
 # --- coupling search ---
 
 
-def _assert_reconstruction(problem: MixProblem, coupling: Coupling) -> None:
-    """E[f_X(y)] must reproduce the density up to N/n at every level."""
+def _check_reconstruction(problem: MixProblem, coupling: Coupling) -> None:
+    """E[f_X(y)] must reproduce the density up to N/n at every level.
+
+    Raises RuntimeError otherwise: a coupling that fails this is a bug in
+    the search, not a property of the input.
+    """
     if problem.N == 0 or coupling.n == 0:
         return
-    values = sorted({x for row in coupling.matrix for x in row})
+    entries = sorted(x for row in coupling.matrix for x in row)
+    values = sorted(set(entries))
     probes = [v / 2 for v in values[:1]] + [
         (a + b) / 2 for a, b in zip(values, values[1:])
     ]
@@ -227,26 +235,57 @@ def _assert_reconstruction(problem: MixProblem, coupling: Coupling) -> None:
     for y in probes:
         if not 0 < y < problem.T:
             continue
-        recon = Fraction(
-            sum(1 for row in coupling.matrix for x in row if y <= x), coupling.n
-        )
-        assert abs(recon - problem.f.value(y)) <= tol
+        at_least = len(entries) - bisect.bisect_left(entries, y)
+        recon, value = Fraction(at_least, coupling.n), problem.f.value(y)
+        if abs(recon - value) > tol:
+            raise RuntimeError(
+                f"coupling does not reconstruct the density at {y}: {recon} vs {value}"
+            )
 
 
-def _counter_monotone(values: list[Fraction], keys: list[Fraction]) -> list[Fraction]:
-    """Assign the largest values to the rows with the smallest keys."""
-    order = sorted(range(len(keys)), key=lambda r: (keys[r], r))
-    ranked = sorted(values, reverse=True)
-    out: list[Optional[Fraction]] = [None] * len(keys)
-    for rank, r in enumerate(order):
-        out[r] = ranked[rank]
-    return out  # type: ignore[return-value]
+def _counter_monotone(values: list, keys: list) -> list:
+    """Assign the largest values to the rows with the smallest keys; equal
+    keys go in row order."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    out = [None] * len(keys)
+    for r, v in zip(order, sorted(values, reverse=True)):
+        out[r] = v
+    return out
+
+
+def _scaled(cols: list[list[Fraction]]) -> list[list[int]]:
+    """The columns times their common denominator D, as ints.
+
+    Scaling by D > 0 keeps every order and every equality, so a search on
+    the integer columns makes the same choices as one on the Fractions.
+    """
+    D = math.lcm(*(x.denominator for col in cols for x in col))
+    return [[x.numerator * (D // x.denominator) for x in col] for col in cols]
 
 
 def _make_coupling(cols: list[list[Fraction]], n: int) -> Coupling:
     rows = tuple(tuple(col[r] for col in cols) for r in range(n))
     worst = max((sum(row) for row in rows), default=Fraction(0))
     return Coupling(n=n, matrix=rows, max_row_sum=worst)
+
+
+def _rearrange(cols: list[list[int]], max_iters: int) -> int:
+    """Re-sort each column against the row sums of the others, in place,
+    until no column changes or max_iters sweeps ran; returns the worst row
+    sum."""
+    sums = [sum(row) for row in zip(*cols)]
+    for _ in range(max_iters):
+        changed = False
+        for col in cols:
+            keys = [s - x for s, x in zip(sums, col)]
+            new = _counter_monotone(col, keys)
+            if new != col:
+                changed = True
+                col[:] = new
+                sums = [k + x for k, x in zip(keys, new)]
+        if not changed:
+            break
+    return max(sums, default=0)
 
 
 def rearrangement_coupling(
@@ -261,36 +300,28 @@ def rearrangement_coupling(
     Each sweep re-sorts one column against the row sums of the others;
     sweeps repeat until stable. Further restarts shuffle the columns with a
     counter-based generator keyed by ``seed``, so results are reproducible.
+    The sweeps run on the columns scaled to integers; only the best columns
+    go back to Fractions.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     base = problem.quantile_columns(n)
+    scaled = _scaled(base)
     rng = np.random.Generator(np.random.Philox(seed))
-    best: Optional[Coupling] = None
+    best: Optional[list[list[int]]] = None
+    best_worst = 0
     for attempt in range(max(1, restarts)):
-        cols = [list(c) for c in base]
+        cols = [list(c) for c in scaled]
         if attempt > 0:
             for col in cols:
                 rng.shuffle(col)
-        sums = [sum(col[r] for col in cols) for r in range(n)] if cols else []
-        for _ in range(max_iters):
-            changed = False
-            for col in cols:
-                keys = [sums[r] - col[r] for r in range(n)]
-                new = _counter_monotone(col, keys)
-                if new != col:
-                    changed = True
-                    for r in range(n):
-                        sums[r] += new[r] - col[r]
-                        col[r] = new[r]
-            if not changed:
-                break
-        cand = _make_coupling(cols, n)
-        if best is None or cand.max_row_sum < best.max_row_sum:
-            best = cand
-    assert best is not None
-    _assert_reconstruction(problem, best)
-    return best
+        worst = _rearrange(cols, max_iters)
+        if best is None or worst < best_worst:
+            best, best_worst = cols, worst
+    back = [dict(zip(s, c)) for s, c in zip(scaled, base)]
+    coupling = _make_coupling([[b[x] for x in col] for b, col in zip(back, best)], n)
+    _check_reconstruction(problem, coupling)
+    return coupling
 
 
 def rearrangement_search(
@@ -314,8 +345,11 @@ def rearrangement_search(
 def optimal_coupling(problem: MixProblem, n: int, N_max: int = 3) -> Coupling:
     """Exact minimal max-row-sum coupling at the n-quantile level.
 
-    Exhausts the second column's permutations; the remaining column is
-    paired counter-monotonically, which is optimal for a fixed rest.
+    Exhausts the second column's n! permutations; the remaining column is
+    paired counter-monotonically, which is optimal for a fixed rest. The
+    scan scores each permutation on the columns scaled to integers and
+    builds one Coupling, for the first permutation with the smallest worst
+    row sum.
     """
     if problem.N > N_max:
         raise ValueError(f"oracle limited to N <= {N_max}")
@@ -330,22 +364,19 @@ def optimal_coupling(problem: MixProblem, n: int, N_max: int = 3) -> Coupling:
         second = _counter_monotone(cols[1], cols[0])
         coupling = _make_coupling([cols[0], second], n)
     else:
-        best: Optional[Coupling] = None
-        for perm in itertools.permutations(range(n)):
-            second = [cols[1][perm[r]] for r in range(n)]
-            keys = [cols[0][r] + second[r] for r in range(n)]
-            third = _counter_monotone(cols[2], keys)
-            cand = _make_coupling([cols[0], second, third], n)
-            if best is None or cand.max_row_sum < best.max_row_sum:
-                best = cand
-        coupling = best
-    _assert_reconstruction(problem, coupling)
+        c1, c2, c3 = _scaled(cols)
+        c3_desc = sorted(c3, reverse=True)
+        best_perm: Optional[tuple[int, ...]] = None
+        best_worst = 0
+        for perm in itertools.permutations(c2):
+            keys = sorted(map(operator.add, c1, perm))
+            worst = max(map(operator.add, keys, c3_desc))
+            if best_perm is None or worst < best_worst:
+                best_perm, best_worst = perm, worst
+        back = dict(zip(c2, cols[1]))
+        second = [back[x] for x in best_perm]
+        keys = [a + b for a, b in zip(cols[0], second)]
+        third = _counter_monotone(cols[2], keys)
+        coupling = _make_coupling([cols[0], second, third], n)
+    _check_reconstruction(problem, coupling)
     return coupling
-
-
-def brute_force_mix(problem: MixProblem, n: int, N_max: int = 3) -> Optional[Coupling]:
-    """Optimal coupling if its worst row stays within budget 1, else None."""
-    coupling = optimal_coupling(problem, n, N_max)
-    if coupling.max_row_sum <= 1:
-        return coupling
-    return None

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -239,3 +240,104 @@ class TestDecomposeBoundMix:
         assert code == 2
         code, rep = _run(capsys, "mix", str(q), "--method", "oracle", "--n", "6")
         assert code == 1 and rep["max_row_sum"] == "7/6"
+
+
+# --- mix reports recorded from the Fraction kernels ---
+# The expected output below was printed by `periloc mix` when the oracle and
+# the rearrangement still scanned Fraction columns; the integer kernels must
+# print the same bytes.
+
+# N = 3 step density (5/2, 3/2, 1/2) on (0, 1/8, 1/4, 1/2), mass 5/8
+MIX3_LAW = step_law(
+    F(1, 2), (0, F(1, 8), F(1, 4), F(1, 2)), (F(5, 2), F(3, 2), F(1, 2)), atom0=F(3, 8)
+)
+
+MIX3_ORACLE_7 = """{
+  "N": 3,
+  "certificate": {
+    "evidence": {
+      "matrix": [
+        [
+          "1/4",
+          "1/8",
+          "1/8"
+        ],
+        [
+          "1/4",
+          "1/8",
+          "1/8"
+        ],
+        [
+          "1/4",
+          "1/4",
+          "1/8"
+        ],
+        [
+          "1/2",
+          "1/8",
+          "1/8"
+        ],
+        [
+          "1/2",
+          "1/4",
+          "0"
+        ],
+        [
+          "1/2",
+          "1/4",
+          "0"
+        ],
+        [
+          "1/2",
+          "1/4",
+          "0"
+        ]
+      ],
+      "max_row_sum": "3/4",
+      "n": 7
+    },
+    "kind": "coupling"
+  },
+  "manifest": {
+    "grid": null,
+    "inputs": {
+      "law": "sha256:3d303c56c6bdae24c624d90d7aad926fad8a5528ff1939cc7c065e397372756a"
+    },
+    "seed": 0,
+    "subcommand": "mix",
+    "version": "0.1.0"
+  },
+  "max_row_sum": "3/4",
+  "means": [
+    "3/8",
+    "3/16",
+    "1/16"
+  ],
+  "method": "oracle",
+  "n": 7
+}
+"""
+
+MIX3_SEARCH_64_SHA256 = "eac2d909efb9dc930567b0cf6f5ad1eeee122e68671d43b4804eeff30f488335"
+MIX3_SEARCH_64_MATRIX = [["1/2", "1/8", "0"]] * 32 + [["1/4", "1/4", "1/8"]] * 32
+
+
+class TestMixReportsUnchanged:
+    @pytest.fixture
+    def law_path(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SEED", raising=False)
+        return _law_file(tmp_path, MIX3_LAW)
+
+    def test_oracle_n7(self, law_path, capsys):
+        code = main(["mix", law_path, "--method", "oracle", "--n", "7"])
+        assert code == 0
+        assert capsys.readouterr().out == MIX3_ORACLE_7
+
+    def test_search_n64(self, law_path, capsys):
+        code = main(["mix", law_path, "--method", "search", "--n", "64"])
+        out = capsys.readouterr().out
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["max_row_sum"] == "5/8" and rep["slack"] == "1/128"
+        assert rep["certificate"]["evidence"]["matrix"] == MIX3_SEARCH_64_MATRIX
+        assert hashlib.sha256(out.encode()).hexdigest() == MIX3_SEARCH_64_SHA256

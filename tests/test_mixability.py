@@ -1,14 +1,20 @@
+import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import periloc
 from periloc.density import PiecewiseDensity, integral, make_step_density
 from periloc.mixability import (
     Certificate,
     Coupling,
-    brute_force_mix,
+    _check_reconstruction,
     certify_convex,
     certify_gap,
     certify_linear,
@@ -197,18 +203,18 @@ class TestRearrangement:
 class TestOracle:
     def test_point_mass_layers(self):
         prob = component_distributions(STEP, F(3, 5))
-        coupling = brute_force_mix(prob, 4)
-        assert coupling is not None and coupling.max_row_sum == F(3, 4)
+        coupling = optimal_coupling(prob, 4)
+        assert coupling.max_row_sum <= 1
+        assert coupling.max_row_sum == F(3, 4)
         assert all(row == (F(1, 2), F(1, 4)) for row in coupling.matrix)
 
     def test_rigid_instance_infeasible(self):
         prob = component_distributions(RIGID, F(4, 5))
-        assert brute_force_mix(prob, 6) is None
-        assert optimal_coupling(prob, 6).max_row_sum == F(7, 6)
+        coupling = optimal_coupling(prob, 6)
+        assert coupling.max_row_sum > 1
+        assert coupling.max_row_sum == F(7, 6)
 
     def test_pairing_matches_enumeration(self):
-        import itertools
-
         prob = component_distributions(RAMP, F(3, 5))
         col1, col2 = prob.quantile_columns(6)
         best = min(
@@ -218,8 +224,6 @@ class TestOracle:
         assert optimal_coupling(prob, 6).max_row_sum == best
 
     def test_three_layers_match_enumeration(self):
-        import itertools
-
         f = PiecewiseDensity((F(0), F(3, 10), F(1, 2)), ((F(3), F(-10)), (F(0), F(0))))
         prob = component_distributions(f, F(1, 2))
         assert prob.N == 3
@@ -240,8 +244,9 @@ class TestOracle:
 
     def test_empty_problem(self):
         prob = component_distributions(make_step_density((0, F(1, 2)), (0,)), F(1, 2))
-        coupling = brute_force_mix(prob, 4)
-        assert coupling is not None and coupling.max_row_sum == 0
+        coupling = optimal_coupling(prob, 4)
+        assert coupling.max_row_sum <= 1
+        assert coupling.max_row_sum == 0
 
 
 class TestValidation:
@@ -254,6 +259,42 @@ class TestValidation:
     def test_certificate_kind_checked(self):
         with pytest.raises(ValueError):
             Certificate(kind="hunch", evidence={})
+
+
+class TestReconstructionCheck:
+    # rows sum to their stated maximum, but every entry sits at 1/2: the
+    # reconstructed density at 1/4 is 2 where STEP has 1
+    SCRIPT = """
+import sys
+from fractions import Fraction as F
+from periloc.density import make_step_density
+from periloc.mixability import Coupling, _check_reconstruction, component_distributions
+STEP = make_step_density((0, F(1, 4), F(1, 2), F(3, 5)), (2, 1, 0))
+bad = Coupling(n=4, matrix=((F(1, 2), F(1, 2)),) * 4, max_row_sum=F(1))
+try:
+    _check_reconstruction(component_distributions(STEP, F(3, 5)), bad)
+except RuntimeError:
+    print("raised, optimize =", sys.flags.optimize)
+"""
+
+    def test_wrong_reconstruction_raises(self):
+        prob = component_distributions(STEP, F(3, 5))
+        _check_reconstruction(prob, optimal_coupling(prob, 4))
+        bad = Coupling(n=4, matrix=((F(1, 2), F(1, 2)),) * 4, max_row_sum=F(1))
+        with pytest.raises(RuntimeError):
+            _check_reconstruction(prob, bad)
+
+    def test_raises_under_python_O(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(periloc.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", self.SCRIPT],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "raised, optimize = 1"
 
 
 @st.composite
@@ -280,3 +321,97 @@ class TestSearchVersusOracle:
         prob = component_distributions(f, f.T)
         found = rearrangement_coupling(prob, n, restarts=4)
         assert found.max_row_sum >= optimal_coupling(prob, n).max_row_sum
+
+
+# --- Fraction reference for the integer kernels ---
+# Test-only copies of the scans as they ran on Fractions, candidate by
+# candidate: the library's integer kernels must pick the same coupling.
+
+
+def _ref_counter_monotone(values, keys):
+    order = sorted(range(len(keys)), key=lambda r: (keys[r], r))
+    ranked = sorted(values, reverse=True)
+    out = [None] * len(keys)
+    for rank, r in enumerate(order):
+        out[r] = ranked[rank]
+    return out
+
+
+def _ref_coupling(cols, n):
+    rows = tuple(tuple(col[r] for col in cols) for r in range(n))
+    worst = max((sum(row) for row in rows), default=F(0))
+    return Coupling(n=n, matrix=rows, max_row_sum=worst)
+
+
+def reference_optimal_coupling(prob, n):
+    cols = prob.quantile_columns(n)
+    if prob.N <= 1:
+        return _ref_coupling(cols, n)
+    if prob.N == 2:
+        return _ref_coupling([cols[0], _ref_counter_monotone(cols[1], cols[0])], n)
+    best = None
+    for perm in itertools.permutations(range(n)):
+        second = [cols[1][perm[r]] for r in range(n)]
+        keys = [cols[0][r] + second[r] for r in range(n)]
+        third = _ref_counter_monotone(cols[2], keys)
+        cand = _ref_coupling([cols[0], second, third], n)
+        if best is None or cand.max_row_sum < best.max_row_sum:
+            best = cand
+    return best
+
+
+def reference_rearrangement(prob, n, max_iters, restarts, seed):
+    base = prob.quantile_columns(n)
+    rng = np.random.Generator(np.random.Philox(seed))
+    best = None
+    for attempt in range(max(1, restarts)):
+        cols = [list(c) for c in base]
+        if attempt > 0:
+            for col in cols:
+                rng.shuffle(col)
+        sums = [sum(col[r] for col in cols) for r in range(n)] if cols else []
+        for _ in range(max_iters):
+            changed = False
+            for col in cols:
+                keys = [sums[r] - col[r] for r in range(n)]
+                new = _ref_counter_monotone(col, keys)
+                if new != col:
+                    changed = True
+                    for r in range(n):
+                        sums[r] += new[r] - col[r]
+                        col[r] = new[r]
+            if not changed:
+                break
+        cand = _ref_coupling(cols, n)
+        if best is None or cand.max_row_sum < best.max_row_sum:
+            best = cand
+    return best
+
+
+# a three-layer step density with ties in every column
+TIED = make_step_density((0, F(1, 8), F(1, 4), F(1, 2)), (F(5, 2), F(3, 2), F(1, 2)))
+
+
+class TestIntegerKernelsMatchFractionReference:
+    @given(f=small_decreasing_steps(), n=st.integers(1, 7))
+    @example(f=TIED, n=7)
+    @example(f=PiecewiseDensity((F(0), F(3, 10), F(1, 2)), ((F(3), F(-10)), (F(0), F(0)))), n=6)
+    @settings(max_examples=30, deadline=None)
+    def test_oracle(self, f, n):
+        prob = component_distributions(f, f.T)
+        assert optimal_coupling(prob, n) == reference_optimal_coupling(prob, n)
+
+    @given(
+        f=small_decreasing_steps(),
+        n=st.integers(2, 40),
+        max_iters=st.sampled_from([0, 1, 2, 100]),
+        restarts=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(f=STEEP, n=24, max_iters=100, restarts=8, seed=7)
+    @example(f=TIED, n=64, max_iters=100, restarts=8, seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_rearrangement(self, f, n, max_iters, restarts, seed):
+        prob = component_distributions(f, f.T)
+        found = rearrangement_coupling(prob, n, max_iters, restarts, seed)
+        assert found == reference_rearrangement(prob, n, max_iters, restarts, seed)
