@@ -174,13 +174,19 @@ def generalized_inverse(f: PiecewiseDensity, y: Rational) -> Fraction:
     """f^{-1}(y) = sup{t in (0,T): f(t) >= y} (sup of the empty set is 0).
 
     For y = 0 this returns the right end of the essential support {f > 0}.
-    Requires f non-increasing.
+    Requires f non-increasing; raises ValueError otherwise.
     """
+    if not f.is_decreasing():
+        raise ValueError("generalized inverse defined for decreasing densities only")
+    return _generalized_inverse(f, y)
+
+
+def _generalized_inverse(f: PiecewiseDensity, y: Rational) -> Fraction:
+    """generalized_inverse for an f the caller has already checked to be
+    non-increasing."""
     y = as_rat(y)
     if y < 0:
         raise ValueError("y must be >= 0")
-    if not f.is_decreasing():
-        raise ValueError("generalized inverse defined for decreasing densities only")
     cells = list(zip(zip(f.breakpoints, f.breakpoints[1:]), f.segments))
     if y == 0:
         for (a, b), (p, q) in reversed(cells):

@@ -375,6 +375,10 @@ def hull_membership_lp(
     filtered through check_class(ET). Feasibility of the exact equality LP
     yields a certificate; infeasibility yields non-member only when the
     forced-envelope argument applies, otherwise unknown.
+
+    cap bounds the number of candidates enumerated (each costs one
+    check_class call), accepted or not; a search that would enumerate more
+    returns unknown with the reason "enumeration-capped".
     """
     f = law.density
     if not f.is_step():
@@ -393,15 +397,17 @@ def hull_membership_lp(
         *[l.denominator for l in lens],
     )
     candidates: list[LocationLaw] = []
+    enumerated = 0
     overflow = False
     for values in product(range(max_level + 1), repeat=f.k):
         interior = sum(v * l for v, l in zip(values, lens))
         if interior > 1:
             continue
         for a0, aT, aInf in _candidate_atom_triples(1 - interior, D):
-            if len(candidates) >= cap:
+            if enumerated >= cap:
                 overflow = True
                 break
+            enumerated += 1
             cand = LocationLaw(
                 law.T,
                 make_step_density(f.breakpoints, [Fraction(v) for v in values]),

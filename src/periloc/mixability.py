@@ -25,8 +25,8 @@ import numpy as np
 from .density import (
     PiecewiseDensity,
     Rational,
+    _generalized_inverse,
     as_rat,
-    generalized_inverse,
     integral,
 )
 
@@ -56,7 +56,11 @@ def _clipped_mass(f: PiecewiseDensity, c: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class ComponentCDF:
-    """F_i(x) = min{(i - f(x))_+, 1} for x > 0: one layer of the density."""
+    """F_i(x) = min{(i - f(x))_+, 1} for x > 0: one layer of the density.
+
+    f must be non-increasing; component_distributions checks that once, and
+    quantile does not check it again.
+    """
 
     f: PiecewiseDensity
     i: int
@@ -77,7 +81,7 @@ class ComponentCDF:
         p = as_rat(p)
         if not 0 < p < 1:
             raise ValueError("p must lie in (0, 1)")
-        return generalized_inverse(self.f, self.i - p)
+        return _generalized_inverse(self.f, self.i - p)
 
 
 @dataclass(frozen=True)
@@ -152,8 +156,8 @@ def component_distributions(f: PiecewiseDensity, T: Rational) -> MixProblem:
             ComponentCDF(
                 f=f,
                 i=i,
-                lo=generalized_inverse(f, Fraction(i)),
-                hi=generalized_inverse(f, Fraction(i - 1)),
+                lo=_generalized_inverse(f, Fraction(i)),
+                hi=_generalized_inverse(f, Fraction(i - 1)),
                 mean=_clipped_mass(f, Fraction(i - 1)),
             )
         )
@@ -164,7 +168,7 @@ def component_distributions(f: PiecewiseDensity, T: Rational) -> MixProblem:
 
 
 def _inverses(f: PiecewiseDensity, N: int) -> list[Fraction]:
-    return [generalized_inverse(f, Fraction(i)) for i in range(N + 1)]
+    return [_generalized_inverse(f, Fraction(i)) for i in range(N + 1)]
 
 
 def certify_convex(f: PiecewiseDensity, T: Rational) -> Optional[Certificate]:
@@ -188,7 +192,7 @@ def certify_linear(f: PiecewiseDensity, T: Rational) -> Optional[Certificate]:
     """Density linear on its essential support [0, b] with f(b-) = 0:
     certified unconditionally."""
     problem = component_distributions(f, T)
-    b = generalized_inverse(f, Fraction(0))
+    b = _generalized_inverse(f, Fraction(0))
     if b == 0:
         return None
     p0, q0 = f.segments[0]

@@ -2,11 +2,15 @@
 
 The sweep evaluates a locator at shifts u_i and classifies each result as an
 atom (0, T, infinity) or an interior sample. For the built-in locators the
-evaluation is vectorized over numpy float arrays; the classification into
-atoms is decided by the window logic (which endpoint or hit wins), not by
-floating-point equality against 0 or T, so grid-aligned inputs classify
-exactly. Arbitrary callables fall back to exact rational evaluation per
-shift.
+evaluation is vectorized over numpy float arrays. The engines take the shifts
+sorted ascending and cut them into index runs at the few shifts where a node
+or a hit interval enters or leaves the window; each run is then classified by
+slices against one node or one interval. The classification into atoms is
+decided by the window logic (which endpoint or hit wins), not by
+floating-point equality against 0 or T, with one known exception: a first hit
+exactly at the window end, or a last hit exactly at the window start, is
+counted as an interior sample (at T or at 0) instead of an atom. Arbitrary
+callables fall back to exact rational evaluation per shift.
 """
 
 from __future__ import annotations
@@ -96,32 +100,38 @@ def _float_tables(g: PiecewiseLinearPath):
 
 
 def _sweep_sup(g, u: np.ndarray, T: float, truncated: bool):
+    """Codes and values of the (truncated) sup locator; u sorted ascending.
+
+    Node j lies strictly inside the windows of the shifts u[lo[j]:hi[j]], so
+    the cuts lo and hi split u into runs that share one set of interior nodes.
+    Each run takes the highest of them (the first one on ties) and is then
+    classified against the path values at its window ends, slice by slice.
+    """
     tt, yy = _float_tables(g)
     n = len(u)
-    best = np.full(n, -np.inf)
-    bestpos = np.zeros(n)
-    for j in range(len(tt)):
-        # windows with tt[j] strictly interior: u in (tt[j] - T, tt[j])
-        lo = np.searchsorted(u, tt[j] - T, side="right")
-        hi = np.searchsorted(u, tt[j], side="left")
-        if lo >= hi:
-            continue
-        seg_best = best[lo:hi]
-        seg_pos = bestpos[lo:hi]
-        upd = yy[j] > seg_best
-        seg_best[upd] = yy[j]
-        seg_pos[upd] = tt[j]
+    lo = np.searchsorted(u, tt - T, side="right")
+    hi = np.searchsorted(u, tt, side="left")
+    cuts = sorted({0, n, *lo.tolist(), *hi.tolist()})
     g_left = np.interp(u, tt, yy)
     g_right = np.interp(u + T, tt, yy)
-    codes = np.full(n, _CODE_INTERIOR, dtype=np.int8)
-    values = bestpos - u
-    left_wins = g_left >= np.maximum(best, g_right)
-    right_wins = ~left_wins & (g_right > best)
-    codes[left_wins] = _CODE_ZERO
-    codes[right_wins] = _CODE_T
-    if truncated:
-        sup = np.maximum(best, np.maximum(g_left, g_right))
-        codes[sup < 0.5] = _CODE_INF
+    codes = np.empty(n, dtype=np.int8)
+    values = np.empty(n)
+    for s, e in zip(cuts, cuts[1:]):
+        inside = np.flatnonzero((lo <= s) & (s < hi))
+        best, bestpos = -np.inf, 0.0
+        if len(inside):
+            j = inside[np.argmax(yy[inside])]
+            best, bestpos = yy[j], tt[j]
+        gl, gr = g_left[s:e], g_right[s:e]
+        left_wins = gl >= np.maximum(best, gr)
+        right_wins = ~left_wins & (gr > best)
+        run = codes[s:e]
+        run[:] = _CODE_INTERIOR
+        run[left_wins] = _CODE_ZERO
+        run[right_wins] = _CODE_T
+        if truncated:
+            run[np.maximum(best, np.maximum(gl, gr)) < 0.5] = _CODE_INF
+        values[s:e] = bestpos - u[s:e]
     return codes, values
 
 
@@ -153,41 +163,51 @@ def _hit_intervals(g: PiecewiseLinearPath, level: Fraction):
 
 
 def _sweep_first_hit(g, u: np.ndarray, T: float, level: Fraction):
+    """Codes and values of first_hit; u sorted ascending.
+
+    The shifts u[ends[k-1]:ends[k]] have the hit interval k as the first one
+    ending at or after u. Within that run the window misses the interval, then
+    reaches it, then starts inside it, so three slices classify the run.
+    """
     HL, HH = _hit_intervals(g, level)
     n = len(u)
     codes = np.full(n, _CODE_INF, dtype=np.int8)
     values = np.zeros(n)
-    if len(HL) == 0:
-        return codes, values
-    idx = np.searchsorted(HH, u, side="left")  # first interval ending at/after u
-    valid = idx < len(HL)
-    idx_c = np.minimum(idx, len(HL) - 1)
-    inside = valid & (HL[idx_c] <= u)
-    starts = HL[idx_c] - u
-    reachable = valid & ~inside & (HL[idx_c] <= u + T)
-    codes[inside] = _CODE_ZERO
-    codes[reachable] = _CODE_INTERIOR
-    values[reachable] = starts[reachable]
+    ends = np.searchsorted(u, HH, side="right")
+    reach = np.searchsorted(u + T, HL, side="left")  # first u with HL <= u + T
+    inside = np.searchsorted(u, HL, side="left")  # first u with HL <= u
+    a = 0
+    for k, b in enumerate(ends.tolist()):
+        r = min(max(reach[k], a), b)
+        z = min(max(inside[k], a), b)
+        codes[r:z] = _CODE_INTERIOR
+        values[r:z] = HL[k] - u[r:z]
+        codes[z:b] = _CODE_ZERO
+        a = b
     return codes, values
 
 
 def _sweep_last_hit(g, u: np.ndarray, T: float, level: Fraction):
+    """Codes and values of last_hit; u sorted ascending.
+
+    The shifts u[starts[k]:starts[k+1]] have the hit interval k as the last
+    one starting by u + T. Within that run the window ends inside the
+    interval, then past it, then starts past it, so three slices classify it.
+    """
     HL, HH = _hit_intervals(g, level)
     n = len(u)
     codes = np.full(n, _CODE_INF, dtype=np.int8)
     values = np.zeros(n)
-    if len(HL) == 0:
-        return codes, values
     ub = u + T
-    idx = np.searchsorted(HL, ub, side="right") - 1  # last interval starting by u+T
-    valid = idx >= 0
-    idx_c = np.maximum(idx, 0)
-    inside = valid & (HH[idx_c] >= ub)
-    ends = HH[idx_c] - u
-    reachable = valid & ~inside & (HH[idx_c] >= u)
-    codes[inside] = _CODE_T
-    codes[reachable] = _CODE_INTERIOR
-    values[reachable] = ends[reachable]
+    starts = np.searchsorted(ub, HL, side="left")
+    inside = np.searchsorted(ub, HH, side="right")  # end of u with u + T <= HH
+    reach = np.searchsorted(u, HH, side="right")  # end of u with u <= HH
+    for k, (a, b) in enumerate(zip(starts.tolist(), starts[1:].tolist() + [n])):
+        z = min(max(inside[k], a), b)
+        r = min(max(reach[k], a), b)
+        codes[a:z] = _CODE_T
+        codes[z:r] = _CODE_INTERIOR
+        values[z:r] = HH[k] - u[z:r]
     return codes, values
 
 
@@ -229,13 +249,15 @@ def _run_engine(g: PiecewiseLinearPath, desc: tuple, u: np.ndarray, T: float):
 
 
 def _collect(T_rat: Fraction, codes: np.ndarray, values: np.ndarray) -> EmpiricalLaw:
-    interior = np.sort(values[codes == _CODE_INTERIOR])
+    # the engines emit the interior in monotone runs, which timsort merges;
+    # count_nonzero per code beats np.bincount, which widens the int8 codes
+    interior = np.sort(values[codes == _CODE_INTERIOR], kind="stable")
     return EmpiricalLaw(
         T=float(T_rat),
         n=len(codes),
-        count0=int(np.sum(codes == _CODE_ZERO)),
-        countT=int(np.sum(codes == _CODE_T)),
-        countInf=int(np.sum(codes == _CODE_INF)),
+        count0=int(np.count_nonzero(codes == _CODE_ZERO)),
+        countT=int(np.count_nonzero(codes == _CODE_T)),
+        countInf=int(np.count_nonzero(codes == _CODE_INF)),
         interior=interior,
     )
 
@@ -271,8 +293,12 @@ def sweep_law(
     """Law of locator(g(. + u), [0, T]) over the midpoint grid u = (i+1/2)/n.
 
     Deterministic and reproducible bit-exactly for a fixed (path, locator,
-    grid) triple. Midpoints keep every shift away from the breakpoints of the
-    shift-to-location map, so no sample sits on a classification boundary.
+    grid) triple. The grid is generated in ascending order, as the engines
+    require. A named locator costs O(n + E log n + E^2) for its E node or hit
+    events (a few per path node), plus one stable sort of the interior
+    samples. Midpoints do not keep every shift off a classification
+    boundary: on an odd grid u = 1/2 is a shift, and a hit that lies exactly
+    at a window end is misclassified (see the module docstring).
     """
     T_rat = as_rat(T)
     if grid_n < 1:
@@ -297,7 +323,7 @@ def mc_law(
 
     The generator is numpy's counter-based Philox keyed by the 64-bit seed,
     so (seed, n) fully determine the output and parallel/serial evaluation
-    orders agree.
+    orders agree. The shifts are sorted before the engines run.
     """
     T_rat = as_rat(T)
     if n < 1:
@@ -326,15 +352,32 @@ def _interior_cdf_table(law: LocationLaw):
     return np.array(bp), np.array(cum), [(float(p), float(q)) for p, q in law.density.segments]
 
 
-def interior_cdf(law: LocationLaw, x: np.ndarray) -> np.ndarray:
-    """Integral of the density over (0, x], vectorized over float x."""
+def _sorted_cdf(law: LocationLaw, x: np.ndarray) -> np.ndarray:
+    """interior_cdf on x sorted ascending, one slice per density cell."""
     bp, cum, segs = _interior_cdf_table(law)
     x = np.clip(x, bp[0], bp[-1])
-    j = np.clip(np.searchsorted(bp, x, side="right") - 1, 0, len(segs) - 1)
-    p = np.array([s[0] for s in segs])[j]
-    q = np.array([s[1] for s in segs])[j]
-    a = bp[j]
-    return cum[j] + p * (x - a) + q * (x * x - a * a) / 2
+    cuts = [0, *np.searchsorted(x, bp[1:-1], side="left").tolist(), len(x)]
+    out = np.empty_like(x)
+    for j, (p, q) in enumerate(segs):
+        s, e = cuts[j], cuts[j + 1]
+        a, xs = bp[j], x[s:e]
+        if q == 0:
+            # the q term would be a signed zero, and cum[j] >= 0 keeps the
+            # sum off -0.0, so dropping it leaves every bit unchanged
+            out[s:e] = cum[j] + p * (xs - a)
+        else:
+            out[s:e] = cum[j] + p * (xs - a) + q * (xs * xs - a * a) / 2
+    return out
+
+
+def interior_cdf(law: LocationLaw, x: np.ndarray) -> np.ndarray:
+    """Integral of the density over (0, x], vectorized over float x."""
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    order = np.argsort(flat, kind="stable")
+    out = np.empty_like(flat)
+    out[order] = _sorted_cdf(law, flat[order])
+    return out.reshape(x.shape)
 
 
 def compare(
@@ -343,7 +386,11 @@ def compare(
     tol_ks: float = 1e-3,
     tol_atom: float = 2e-5,
 ) -> ComparisonReport:
-    """KS distance on the renormalized interior part plus per-atom errors."""
+    """KS distance on the renormalized interior part plus per-atom errors.
+
+    emp.interior is sorted, as EmpiricalLaw requires, so the target CDF is
+    evaluated cell by cell on slices of it.
+    """
     if abs(float(target.T) - emp.T) > 1e-12:
         raise ValueError("laws have different T")
     atom_errors = {
@@ -356,7 +403,7 @@ def compare(
     if m == 0 or mass == 0.0:
         ks = 0.0 if (m == 0) == (mass == 0.0) else 1.0
     else:
-        G = interior_cdf(target, emp.interior) / mass
-        i = np.arange(1, m + 1)
-        ks = float(np.max(np.maximum(i / m - G, G - (i - 1) / m)))
+        G = _sorted_cdf(target, emp.interior) / mass
+        steps = np.arange(m + 1) / m  # the ECDF after i samples is steps[i]
+        ks = float(np.maximum(np.max(steps[1:] - G), np.max(G - steps[:-1])))
     return ComparisonReport(ks=ks, atom_errors=atom_errors, tol_ks=tol_ks, tol_atom=tol_atom)

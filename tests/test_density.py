@@ -204,8 +204,9 @@ class TestGeneralizedInverse:
 
     def test_requires_decreasing(self):
         f = make_step_density([0, F(1, 2), 1], [1, 2])
-        with pytest.raises(ValueError):
-            generalized_inverse(f, 1)
+        for y in (0, 1, 3):  # the support-end branch, a level, an empty level
+            with pytest.raises(ValueError):
+                generalized_inverse(f, y)
 
     @given(step_densities(), st.integers(0, 16))
     @settings(max_examples=200)

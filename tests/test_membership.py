@@ -221,6 +221,21 @@ class TestHullMembership:
         assert rep.verdict == "unknown"
         assert "enumeration-capped" in rep.violated_conditions
 
+    def test_cap_counts_rejected_candidates(self):
+        # about 2,170 candidates are enumerated and 169 pass check_class, so a
+        # cap of 1000 must stop the search even though few are accepted
+        law = step_law(
+            F(1, 2),
+            [0, F(1, 8), F(1, 4), F(3, 8), F(1, 2)],
+            [F(3, 2), F(1, 2), F(3, 2), F(1, 2)],
+            atom0=F(1, 4),
+            atomT=F(1, 4),
+        )
+        rep = hull_membership_lp(law, cap=1000)
+        assert isinstance(rep, MembershipReport)
+        assert rep.verdict == "unknown"
+        assert rep.violated_conditions == ("enumeration-capped",)
+
     def test_mixture_of_uniform_and_point_mass(self):
         law = step_law(1, [0, 1], [F(1, 2)], atom0=F(1, 2))
         cert = hull_membership_lp(law)

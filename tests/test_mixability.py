@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import periloc
-from periloc.density import PiecewiseDensity, integral, make_step_density
+from periloc.density import PiecewiseDensity, generalized_inverse, integral, make_step_density
 from periloc.mixability import (
     Certificate,
     Coupling,
@@ -312,6 +312,29 @@ def small_decreasing_steps(draw):
     assume(integral(f, 0, T) <= 1)
     assume(f.value(0) > 0)
     return f
+
+
+class TestQuantileColumns:
+    @given(f=small_decreasing_steps(), n=st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_match_the_checked_inverse(self, f, n):
+        # the columns skip the per-call monotonicity check; the values must
+        # be those of the public, checked generalized_inverse
+        prob = component_distributions(f, f.T)
+        want = [
+            [generalized_inverse(f, c.i - F(2 * r - 1, 2 * n)) for r in range(1, n + 1)]
+            for c in prob.components
+        ]
+        assert prob.quantile_columns(n) == want
+
+    def test_sloped_density(self):
+        f = PiecewiseDensity((F(0), F(1, 4), F(1, 2)), ((F(3), F(-4)), (F(2), F(-4))))
+        prob = component_distributions(f, f.T)
+        want = [
+            [generalized_inverse(f, c.i - F(2 * r - 1, 14)) for r in range(1, 8)]
+            for c in prob.components
+        ]
+        assert prob.quantile_columns(7) == want
 
 
 class TestSearchVersusOracle:
