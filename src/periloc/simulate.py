@@ -7,12 +7,10 @@ sorted ascending and cut them into index runs at the few shifts where a node
 or a hit interval enters or leaves the window; each run is then classified by
 slices against one node or one interval. The classification into atoms is
 decided by the window logic (which endpoint or hit wins), not by
-floating-point equality against 0 or T: the cuts compare each shift's exact
-rational value with the node and hit positions, so a hit exactly at a window
-end is an atom, and the sup engines hand the few shifts whose float values
-at the window ends come within rounding of the best node, of each other or
-of 1/2 to the exact locator. Arbitrary callables fall back to exact rational
-evaluation per shift.
+floating-point equality against 0 or T, with one known exception: a first hit
+exactly at the window end, or a last hit exactly at the window start, is
+counted as an interior sample (at T or at 0) instead of an atom. Arbitrary
+callables fall back to exact rational evaluation per shift.
 """
 
 from __future__ import annotations
@@ -92,41 +90,6 @@ class ComparisonReport:
 # --- node tables and vectorized locator cores ---
 
 
-class _Shifts:
-    """Shifts sorted ascending: floats for the arithmetic, and the exact
-    rational value of each one for the comparisons that place a node or a hit
-    at a window end."""
-
-    def __init__(self, u: np.ndarray, exact: Callable[[int], Fraction], T: Fraction):
-        self.u = u
-        self.exact = exact
-        self.T = T
-
-    def cut(self, xs, side: str) -> list[int]:
-        """For each rational x, the number of shifts u < x (side "left") or
-        u <= x (side "right"), decided in exact arithmetic."""
-        strict = side == "left"
-        n = len(self.u)
-        out = np.searchsorted(self.u, [float(x) for x in xs], side=side).tolist()
-        for k, x in enumerate(xs):
-            i = out[k]
-            # the float search is off by at most the shifts within an ulp of x
-            while i > 0 and not _below(self.exact(i - 1), x, strict):
-                i -= 1
-            while i < n and _below(self.exact(i), x, strict):
-                i += 1
-            out[k] = i
-        return out
-
-    def cut_end(self, xs, side: str) -> list[int]:
-        """As cut, for the window ends u + T."""
-        return self.cut([x - self.T for x in xs], side)
-
-
-def _below(v: Fraction, x: Fraction, strict: bool) -> bool:
-    return v < x if strict else v <= x
-
-
 def _float_tables(g: PiecewiseLinearPath):
     """Two periods of node positions/values as float arrays covering [0, 2]."""
     t = np.array([float(x) for x, _ in g.nodes])
@@ -136,37 +99,23 @@ def _float_tables(g: PiecewiseLinearPath):
     return tt, yy
 
 
-def _near_ties(d: np.ndarray, tol: float) -> np.ndarray:
-    """Indices of the differences d that are nonzero but small enough to be
-    float rounding of an exact tie."""
-    i = np.flatnonzero(np.abs(d) <= tol)
-    return i[d[i] != 0]
-
-
-def _sweep_sup(g, shifts: _Shifts, truncated: bool):
-    """Codes and values of the (truncated) sup locator.
+def _sweep_sup(g, u: np.ndarray, T: float, truncated: bool):
+    """Codes and values of the (truncated) sup locator; u sorted ascending.
 
     Node j lies strictly inside the windows of the shifts u[lo[j]:hi[j]], so
     the cuts lo and hi split u into runs that share one set of interior nodes.
     Each run takes the highest of them (the first one on ties) and is then
     classified against the path values at its window ends, slice by slice.
-    The few shifts where a float comparison is too close to call are
-    classified again by the exact locator.
     """
     tt, yy = _float_tables(g)
-    u, T = shifts.u, float(shifts.T)
     n = len(u)
-    times = [x for x, _ in g.nodes[:-1]]
-    times = times + [x + 1 for x in times] + [Fraction(2)]
-    lo = np.array(shifts.cut_end(times, "right"))
-    hi = np.array(shifts.cut(times, "left"))
+    lo = np.searchsorted(u, tt - T, side="right")
+    hi = np.searchsorted(u, tt, side="left")
     cuts = sorted({0, n, *lo.tolist(), *hi.tolist()})
     g_left = np.interp(u, tt, yy)
     g_right = np.interp(u + T, tt, yy)
-    tol = 1e-9 * (1.0 + float(np.max(np.abs(yy))))
     codes = np.empty(n, dtype=np.int8)
     values = np.empty(n)
-    recheck = []
     for s, e in zip(cuts, cuts[1:]):
         inside = np.flatnonzero((lo <= s) & (s < hi))
         best, bestpos = -np.inf, 0.0
@@ -174,35 +123,19 @@ def _sweep_sup(g, shifts: _Shifts, truncated: bool):
             j = inside[np.argmax(yy[inside])]
             best, bestpos = yy[j], tt[j]
         gl, gr = g_left[s:e], g_right[s:e]
-        top = np.maximum(best, gr)
-        d = gl - top
-        left_wins = d >= 0
-        near = [_near_ties(d, tol)]
-        if len(inside):
-            d = gr - best
-            right_wins = ~left_wins & (d > 0)
-            near.append(_near_ties(d, tol))
-        else:
-            right_wins = ~left_wins
+        left_wins = gl >= np.maximum(best, gr)
+        right_wins = ~left_wins & (gr > best)
         run = codes[s:e]
         run[:] = _CODE_INTERIOR
         run[left_wins] = _CODE_ZERO
         run[right_wins] = _CODE_T
         if truncated:
-            sup = np.maximum(top, gl)
-            run[sup < 0.5] = _CODE_INF
-            near.append(_near_ties(sup - 0.5, tol))
+            run[np.maximum(best, np.maximum(gl, gr)) < 0.5] = _CODE_INF
         values[s:e] = bestpos - u[s:e]
-        for i in near:
-            recheck.extend((s + i).tolist())
-    # an interior maximizer is always the run's best node, so the values stand
-    locator = truncated_sup_location if truncated else sup_location
-    for i in recheck:
-        codes[i] = _exact_result(locator, g, shifts.exact(i), shifts.T)[0]
     return codes, values
 
 
-def _hit_intervals(g: PiecewiseLinearPath, level: Fraction) -> list[tuple[Fraction, Fraction]]:
+def _hit_intervals(g: PiecewiseLinearPath, level: Fraction):
     """Merged intervals {t in [0, 2]: g(t) == level} (points as zero-width)."""
     raw: list[tuple[Fraction, Fraction]] = []
     for k in (0, 1):
@@ -224,64 +157,57 @@ def _hit_intervals(g: PiecewiseLinearPath, level: Fraction) -> list[tuple[Fracti
             merged[-1][1] = max(merged[-1][1], hi)
         else:
             merged.append([lo, hi])
-    return [(lo, hi) for lo, hi in merged]
+    HL = np.array([float(lo) for lo, _ in merged])
+    HH = np.array([float(hi) for _, hi in merged])
+    return HL, HH
 
 
-def _sweep_first_hit(g, shifts: _Shifts, level: Fraction):
-    """Codes and values of first_hit.
+def _sweep_first_hit(g, u: np.ndarray, T: float, level: Fraction):
+    """Codes and values of first_hit; u sorted ascending.
 
     The shifts u[ends[k-1]:ends[k]] have the hit interval k as the first one
-    ending at or after u. Within that run the window misses the interval,
-    then ends exactly at its start, then reaches past it, then starts inside
-    it, so four slices classify the run.
+    ending at or after u. Within that run the window misses the interval, then
+    reaches it, then starts inside it, so three slices classify the run.
     """
-    hits = _hit_intervals(g, level)
-    starts = [lo for lo, _ in hits]
-    HL = np.array([float(x) for x in starts])
-    u = shifts.u
+    HL, HH = _hit_intervals(g, level)
     n = len(u)
     codes = np.full(n, _CODE_INF, dtype=np.int8)
     values = np.zeros(n)
-    ends = shifts.cut([hi for _, hi in hits], "right")
-    reach = shifts.cut_end(starts, "left")  # first u with HL <= u + T
-    past = shifts.cut_end(starts, "right")  # first u with HL < u + T
-    inside = shifts.cut(starts, "left")  # first u with HL <= u
+    ends = np.searchsorted(u, HH, side="right")
+    reach = np.searchsorted(u + T, HL, side="left")  # first u with HL <= u + T
+    inside = np.searchsorted(u, HL, side="left")  # first u with HL <= u
     a = 0
-    for k, b in enumerate(ends):
-        r, w, z = (min(max(c, a), b) for c in (reach[k], past[k], inside[k]))
-        codes[r:w] = _CODE_T
-        codes[w:z] = _CODE_INTERIOR
-        values[w:z] = HL[k] - u[w:z]
+    for k, b in enumerate(ends.tolist()):
+        r = min(max(reach[k], a), b)
+        z = min(max(inside[k], a), b)
+        codes[r:z] = _CODE_INTERIOR
+        values[r:z] = HL[k] - u[r:z]
         codes[z:b] = _CODE_ZERO
         a = b
     return codes, values
 
 
-def _sweep_last_hit(g, shifts: _Shifts, level: Fraction):
-    """Codes and values of last_hit.
+def _sweep_last_hit(g, u: np.ndarray, T: float, level: Fraction):
+    """Codes and values of last_hit; u sorted ascending.
 
     The shifts u[starts[k]:starts[k+1]] have the hit interval k as the last
     one starting by u + T. Within that run the window ends inside the
-    interval, then past it, then starts exactly at its end, then starts past
-    it, so four slices classify it.
+    interval, then past it, then starts past it, so three slices classify it.
     """
-    hits = _hit_intervals(g, level)
-    ends = [hi for _, hi in hits]
-    HH = np.array([float(x) for x in ends])
-    u = shifts.u
+    HL, HH = _hit_intervals(g, level)
     n = len(u)
     codes = np.full(n, _CODE_INF, dtype=np.int8)
     values = np.zeros(n)
-    starts = shifts.cut_end([lo for lo, _ in hits], "left")
-    inside = shifts.cut_end(ends, "right")  # end of u with u + T <= HH
-    before = shifts.cut(ends, "left")  # end of u with u < HH
-    reach = shifts.cut(ends, "right")  # end of u with u <= HH
-    for k, (a, b) in enumerate(zip(starts, starts[1:] + [n])):
-        z, w, r = (min(max(c, a), b) for c in (inside[k], before[k], reach[k]))
+    ub = u + T
+    starts = np.searchsorted(ub, HL, side="left")
+    inside = np.searchsorted(ub, HH, side="right")  # end of u with u + T <= HH
+    reach = np.searchsorted(u, HH, side="right")  # end of u with u <= HH
+    for k, (a, b) in enumerate(zip(starts.tolist(), starts[1:].tolist() + [n])):
+        z = min(max(inside[k], a), b)
+        r = min(max(reach[k], a), b)
         codes[a:z] = _CODE_T
-        codes[z:w] = _CODE_INTERIOR
-        values[z:w] = HH[k] - u[z:w]
-        codes[w:r] = _CODE_ZERO
+        codes[z:r] = _CODE_INTERIOR
+        values[z:r] = HH[k] - u[z:r]
     return codes, values
 
 
@@ -302,7 +228,7 @@ def _descriptor(locator) -> Optional[tuple]:
     return None
 
 
-def _run_engine(g: PiecewiseLinearPath, desc: tuple, shifts: _Shifts):
+def _run_engine(g: PiecewiseLinearPath, desc: tuple, u: np.ndarray, T: float):
     if desc[0] == "composite":
         lo, hi = g.min_value(), g.max_value()
         if lo >= 0:
@@ -312,13 +238,13 @@ def _run_engine(g: PiecewiseLinearPath, desc: tuple, shifts: _Shifts):
         else:
             desc = ("last-hit", Fraction(-2))
     if desc[0] == "sup":
-        return _sweep_sup(g, shifts, truncated=False)
+        return _sweep_sup(g, u, T, truncated=False)
     if desc[0] == "truncated-sup":
-        return _sweep_sup(g, shifts, truncated=True)
+        return _sweep_sup(g, u, T, truncated=True)
     if desc[0] == "first-hit":
-        return _sweep_first_hit(g, shifts, desc[1])
+        return _sweep_first_hit(g, u, T, desc[1])
     if desc[0] == "last-hit":
-        return _sweep_last_hit(g, shifts, desc[1])
+        return _sweep_last_hit(g, u, T, desc[1])
     raise ValueError(f"no engine for {desc!r}")
 
 
@@ -336,26 +262,25 @@ def _collect(T_rat: Fraction, codes: np.ndarray, values: np.ndarray) -> Empirica
     )
 
 
-def _exact_result(locator: Callable, g, u: Fraction, T: Fraction):
-    """Code and location minus u of one exact locator call on [u, u + T]."""
-    out = locator(g, u, u + T)
-    if out == INFINITY:
-        return _CODE_INF, None
-    lam = out - u
-    if lam == 0:
-        return _CODE_ZERO, lam
-    if lam == T:
-        return _CODE_T, lam
-    return _CODE_INTERIOR, lam
-
-
 def _generic_eval(g, locator: Callable, T: Fraction, shifts) -> EmpiricalLaw:
     codes = []
     values = []
     for u in shifts:
-        code, lam = _exact_result(locator, g, u, T)
-        codes.append(code)
-        values.append(float(lam) if code == _CODE_INTERIOR else 0.0)
+        out = locator(g, u, u + T)
+        if out == INFINITY:
+            codes.append(_CODE_INF)
+            values.append(0.0)
+            continue
+        lam = out - u
+        if lam == 0:
+            codes.append(_CODE_ZERO)
+            values.append(0.0)
+        elif lam == T:
+            codes.append(_CODE_T)
+            values.append(0.0)
+        else:
+            codes.append(_CODE_INTERIOR)
+            values.append(float(lam))
     return _collect(T, np.array(codes, dtype=np.int8), np.array(values))
 
 
@@ -371,11 +296,9 @@ def sweep_law(
     grid) triple. The grid is generated in ascending order, as the engines
     require. A named locator costs O(n + E log n + E^2) for its E node or hit
     events (a few per path node), plus one stable sort of the interior
-    samples, plus one exact locator call per shift where the sup engines'
-    float comparisons come within rounding of a tie. Midpoints do not keep every
-    shift off a classification boundary (on an odd grid u = 1/2 is a shift),
-    so the cuts compare the exact grid points with the node and hit
-    positions.
+    samples. Midpoints do not keep every shift off a classification
+    boundary: on an odd grid u = 1/2 is a shift, and a hit that lies exactly
+    at a window end is misclassified (see the module docstring).
     """
     T_rat = as_rat(T)
     if grid_n < 1:
@@ -385,8 +308,7 @@ def sweep_law(
         shifts = [Fraction(2 * i + 1, 2 * grid_n) for i in range(grid_n)]
         return _generic_eval(g, locator, T_rat, shifts)
     u = (np.arange(grid_n) + 0.5) / grid_n
-    shifts = _Shifts(u, lambda i: Fraction(2 * i + 1, 2 * grid_n), T_rat)
-    codes, values = _run_engine(g, desc, shifts)
+    codes, values = _run_engine(g, desc, u, float(T_rat))
     return _collect(T_rat, codes, values)
 
 
@@ -401,8 +323,7 @@ def mc_law(
 
     The generator is numpy's counter-based Philox keyed by the 64-bit seed,
     so (seed, n) fully determine the output and parallel/serial evaluation
-    orders agree. The shifts are sorted before the engines run, and each
-    float shift is taken at its exact value.
+    orders agree. The shifts are sorted before the engines run.
     """
     T_rat = as_rat(T)
     if n < 1:
@@ -413,8 +334,7 @@ def mc_law(
     if desc is None:
         shifts = [Fraction(x).limit_denominator(10**12) for x in u]
         return _generic_eval(g, locator, T_rat, shifts)
-    shifts = _Shifts(u, lambda i: Fraction(float(u[i])), T_rat)
-    codes, values = _run_engine(g, desc, shifts)
+    codes, values = _run_engine(g, desc, u, float(T_rat))
     return _collect(T_rat, codes, values)
 
 

@@ -2,10 +2,8 @@
 
 These are the engines as they were before the run-based rewrite: every shift
 is searched into the hit intervals, the sup engine takes one masked update
-over all shifts per node, and compare gathers per-sample cell data. They
-compare floats only, so a node or a hit exactly at a window end can be
-misclassified. The library must reproduce them byte for byte wherever they
-agree with the exact locators (tests/test_simulate.py).
+over all shifts per node, and compare gathers per-sample cell data. The
+library must reproduce them byte for byte (tests/test_simulate.py).
 """
 
 from __future__ import annotations
@@ -25,11 +23,6 @@ from periloc.simulate import (
     _hit_intervals,
     _interior_cdf_table,
 )
-
-
-def float_hit_intervals(g, level):
-    hits = _hit_intervals(g, level)
-    return np.array([float(lo) for lo, _ in hits]), np.array([float(hi) for _, hi in hits])
 
 
 def sweep_sup(g, u, T, truncated):
@@ -63,7 +56,7 @@ def sweep_sup(g, u, T, truncated):
 
 
 def sweep_first_hit(g, u, T, level):
-    HL, HH = float_hit_intervals(g, level)
+    HL, HH = _hit_intervals(g, level)
     n = len(u)
     codes = np.full(n, _CODE_INF, dtype=np.int8)
     values = np.zeros(n)
@@ -82,7 +75,7 @@ def sweep_first_hit(g, u, T, level):
 
 
 def sweep_last_hit(g, u, T, level):
-    HL, HH = float_hit_intervals(g, level)
+    HL, HH = _hit_intervals(g, level)
     n = len(u)
     codes = np.full(n, _CODE_INF, dtype=np.int8)
     values = np.zeros(n)
