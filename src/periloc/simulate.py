@@ -7,10 +7,13 @@ sorted ascending and cut them into index runs at the few shifts where a node
 or a hit interval enters or leaves the window; each run is then classified by
 slices against one node or one interval. The classification into atoms is
 decided by the window logic (which endpoint or hit wins), not by
-floating-point equality against 0 or T, with one known exception: a first hit
-exactly at the window end, or a last hit exactly at the window start, is
-counted as an interior sample (at T or at 0) instead of an atom. Arbitrary
-callables fall back to exact rational evaluation per shift.
+floating-point equality against 0 or T, with two known exceptions. A first
+hit exactly at the window end, or a last hit exactly at the window start, is
+counted as an interior sample (at T or at 0) instead of an atom. And the sup
+engines compare path values in floats, so rounding can break an exact tie
+(between the window ends, or of a window end with a node value or with 1/2)
+the other way. Arbitrary callables fall back to exact rational evaluation per
+shift.
 """
 
 from __future__ import annotations
@@ -298,7 +301,8 @@ def sweep_law(
     events (a few per path node), plus one stable sort of the interior
     samples. Midpoints do not keep every shift off a classification
     boundary: on an odd grid u = 1/2 is a shift, and a hit that lies exactly
-    at a window end is misclassified (see the module docstring).
+    at a window end is misclassified, as is a sup tie that float rounding
+    breaks (see the module docstring).
     """
     T_rat = as_rat(T)
     if grid_n < 1:
