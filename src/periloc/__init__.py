@@ -48,7 +48,7 @@ from .mixability import (
 )
 from .paths import (
     INFINITY,
-    LOCATORS,
+    Locator,
     PiecewiseLinearPath,
     composite_location,
     first_hit,
@@ -71,8 +71,8 @@ __all__ = [
     "EmpiricalLaw",
     "HullCertificate",
     "INFINITY",
-    "LOCATORS",
     "LocationLaw",
+    "Locator",
     "MembershipReport",
     "MixProblem",
     "PiecewiseDensity",

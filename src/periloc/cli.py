@@ -294,7 +294,7 @@ def _write_ecdf(emp, out: str) -> None:
 def cmd_simulate(args) -> int:
     g = _load_path(args.path)
     try:
-        locator_by_name(args.locator)
+        locator = locator_by_name(args.locator)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     T = _rat_arg(args.T, "window length")
@@ -308,10 +308,10 @@ def cmd_simulate(args) -> int:
     if args.target:
         inputs["target"] = args.target
     if args.grid is not None:
-        emp = sweep_law(g, args.locator, T, args.grid)
+        emp = sweep_law(g, locator, T, args.grid)
         grid = {"grid": args.grid}
     else:
-        emp = mc_law(g, args.locator, T, args.mc, seed=seed)
+        emp = mc_law(g, locator, T, args.mc, seed=seed)
         grid = {"mc": args.mc}
     report = {
         "manifest": _manifest("simulate", inputs, seed=seed, grid=grid),
@@ -367,6 +367,17 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
+def _coupling_certificate(n: int, coupling) -> dict:
+    return {
+        "kind": "coupling",
+        "evidence": {
+            "n": n,
+            "matrix": [[str(x) for x in row] for row in coupling.matrix],
+            "max_row_sum": str(coupling.max_row_sum),
+        },
+    }
+
+
 def cmd_mix(args) -> int:
     law = _load_law(args.law)
     try:
@@ -407,14 +418,7 @@ def cmd_mix(args) -> int:
             report["note"] = "row sums exceed budget + slack; this is not a refutation"
             _emit(report, args.out)
             return EXIT_UNKNOWN
-        report["certificate"] = {
-            "kind": "coupling",
-            "evidence": {
-                "n": n,
-                "matrix": [[str(x) for x in row] for row in coupling.matrix],
-                "max_row_sum": str(coupling.max_row_sum),
-            },
-        }
+        report["certificate"] = _coupling_certificate(n, coupling)
         _emit(report, args.out)
         return EXIT_OK
     # oracle
@@ -429,18 +433,7 @@ def cmd_mix(args) -> int:
     feasible = best.max_row_sum <= 1
     report["n"] = n
     report["max_row_sum"] = str(best.max_row_sum)
-    report["certificate"] = (
-        None
-        if not feasible
-        else {
-            "kind": "coupling",
-            "evidence": {
-                "n": n,
-                "matrix": [[str(x) for x in row] for row in best.matrix],
-                "max_row_sum": str(best.max_row_sum),
-            },
-        }
-    )
+    report["certificate"] = _coupling_certificate(n, best) if feasible else None
     _emit(report, args.out)
     return EXIT_OK if feasible else EXIT_FAIL
 

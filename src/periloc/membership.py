@@ -445,7 +445,7 @@ def hull_membership_lp(
             )
             cert = HullCertificate(components)
             mixed = cert.mixed()
-            if not (mixed == law or _laws_equal(mixed, law)):
+            if mixed != law:
                 raise RuntimeError("hull certificate does not mix back to the law")
             return cert
 
@@ -457,16 +457,3 @@ def hull_membership_lp(
         ("no-certificate-in-family",),
         "no decomposition over breakpoint-restricted extreme candidates",
     )
-
-
-def _laws_equal(a: LocationLaw, b: LocationLaw) -> bool:
-    if (a.T, a.atom0, a.atomT, a.atomInf) != (b.T, b.atom0, b.atomT, b.atomInf):
-        return False
-    grid = sorted(set(a.density.breakpoints) | set(b.density.breakpoints))
-    for lo, hi in zip(grid, grid[1:]):
-        mid = (lo + hi) / 2
-        if a.density.value(mid) != b.density.value(mid):
-            return False
-        if a.density.value(lo) != b.density.value(lo) and lo > 0:
-            return False
-    return True

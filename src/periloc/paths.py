@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
 from .density import Rational, as_rat
 
@@ -158,33 +158,66 @@ def composite_location(g: PiecewiseLinearPath, a: Rational, b: Rational) -> Loca
     """Case-split locator: leftmost maximizer when the path never goes below
     zero; otherwise the first hit of -1 when the path attains it; otherwise
     the last hit of -2. The case split uses the whole period, so it is a
-    property of the path, not of the window."""
-    lo, hi = g.min_value(), g.max_value()
-    if lo >= 0:
-        return sup_location(g, a, b)
-    if lo <= -1 <= hi:
-        return first_hit(g, -1, a, b)
-    return last_hit(g, -2, a, b)
+    property of the path, not of the window (see Locator.route)."""
+    return _COMPOSITE(g, a, b)
 
 
-LOCATORS = {
-    "sup": sup_location,
-    "truncated-sup": truncated_sup_location,
-    "composite": composite_location,
-}
+_HIT_KINDS = ("first-hit", "last-hit")
+_KINDS = ("sup", "truncated-sup", "composite", *_HIT_KINDS)
 
 
-def locator_by_name(name: str):
-    """Resolve a locator name: sup, truncated-sup, composite,
-    first-hit:LEVEL, last-hit:LEVEL (LEVEL a rational literal)."""
-    if name in LOCATORS:
-        return LOCATORS[name]
-    for prefix, fn in (("first-hit:", first_hit), ("last-hit:", last_hit)):
-        if name.startswith(prefix):
-            level = as_rat(name[len(prefix):])
-            def bound(g, a, b, _fn=fn, _level=level):
-                return _fn(g, _level, a, b)
-            bound.__name__ = name
-            bound._descriptor = (prefix[:-1], level)
-            return bound
-    raise ValueError(f"unknown locator {name!r}")
+@dataclass(frozen=True)
+class Locator:
+    """One location functional of the family: its kind (sup, truncated-sup,
+    composite, first-hit or last-hit) and, for the hit kinds only, the level.
+    Calling it evaluates the location exactly, like the function of its kind."""
+
+    kind: str
+    level: Optional[Fraction] = None
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown locator kind {self.kind!r}")
+        if (self.level is None) == (self.kind in _HIT_KINDS):
+            need = "needs a" if self.level is None else "takes no"
+            raise ValueError(f"locator kind {self.kind!r} {need} level")
+        if self.level is not None:
+            object.__setattr__(self, "level", as_rat(self.level))
+
+    def route(self, g: PiecewiseLinearPath) -> "Locator":
+        """The non-composite locator this one amounts to on g: composite
+        resolves by the range of g over the whole period."""
+        if self.kind != "composite":
+            return self
+        lo, hi = g.min_value(), g.max_value()
+        if lo >= 0:
+            return _SUP
+        if lo <= -1 <= hi:
+            return _FIRST_HIT_MINUS_ONE
+        return _LAST_HIT_MINUS_TWO
+
+    def __call__(self, g: PiecewiseLinearPath, a: Rational, b: Rational) -> LocationResult:
+        loc = self.route(g)
+        if loc.kind == "sup":
+            return sup_location(g, a, b)
+        if loc.kind == "truncated-sup":
+            return truncated_sup_location(g, a, b)
+        if loc.kind == "first-hit":
+            return first_hit(g, loc.level, a, b)
+        return last_hit(g, loc.level, a, b)
+
+
+_SUP = Locator("sup")
+_FIRST_HIT_MINUS_ONE = Locator("first-hit", Fraction(-1))
+_LAST_HIT_MINUS_TWO = Locator("last-hit", Fraction(-2))
+_COMPOSITE = Locator("composite")
+
+
+def locator_by_name(name: str) -> Locator:
+    """Parse a locator name: sup, truncated-sup, composite, first-hit:LEVEL,
+    last-hit:LEVEL (LEVEL a rational literal). Raises ValueError."""
+    kind, sep, level = name.partition(":")
+    try:
+        return Locator(kind, level if sep else None)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad locator {name!r}: {exc}") from exc

@@ -1,39 +1,32 @@
 """Sweep and Monte Carlo estimation of location laws, plus law comparison.
 
 The sweep evaluates a locator at shifts u_i and classifies each result as an
-atom (0, T, infinity) or an interior sample. For the built-in locators the
-evaluation is vectorized over numpy float arrays. The engines take the shifts
-sorted ascending and cut them into index runs at the few shifts where a node
-or a hit interval enters or leaves the window; each run is then classified by
-slices against one node or one interval. The classification into atoms is
+atom (0, T, infinity) or an interior sample. For a paths.Locator, or a
+locator name, the evaluation is vectorized over numpy float arrays by the
+engine of the kind the locator routes to on the path. The engines take the
+shifts sorted ascending and cut them into index runs at the few shifts where
+a node or a hit interval enters or leaves the window; each run is then
+classified by slices against one node or one interval. The classification into atoms is
 decided by the window logic (which endpoint or hit wins), not by
 floating-point equality against 0 or T, with two known exceptions. A first
 hit exactly at the window end, or a last hit exactly at the window start, is
 counted as an interior sample (at T or at 0) instead of an atom. And the sup
 engines compare path values in floats, so rounding can break an exact tie
 (between the window ends, or of a window end with a node value or with 1/2)
-the other way. Arbitrary callables fall back to exact rational evaluation per
-shift.
+the other way. Any other callable, the bare functions of paths such as
+sup_location included, is evaluated exactly per shift, in rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
 from .density import LocationLaw, Rational, as_rat, integral
-from .paths import (
-    INFINITY,
-    PiecewiseLinearPath,
-    composite_location,
-    first_hit,
-    last_hit,
-    sup_location,
-    truncated_sup_location,
-)
+from .paths import INFINITY, Locator, PiecewiseLinearPath, locator_by_name
 
 _CODE_INTERIOR = 0
 _CODE_ZERO = 1
@@ -214,43 +207,6 @@ def _sweep_last_hit(g, u: np.ndarray, T: float, level: Fraction):
     return codes, values
 
 
-def _descriptor(locator) -> Optional[tuple]:
-    if isinstance(locator, str):
-        from .paths import locator_by_name
-
-        locator = locator_by_name(locator)
-    if locator is sup_location:
-        return ("sup",)
-    if locator is truncated_sup_location:
-        return ("truncated-sup",)
-    if locator is composite_location:
-        return ("composite",)
-    desc = getattr(locator, "_descriptor", None)
-    if desc is not None:
-        return desc
-    return None
-
-
-def _run_engine(g: PiecewiseLinearPath, desc: tuple, u: np.ndarray, T: float):
-    if desc[0] == "composite":
-        lo, hi = g.min_value(), g.max_value()
-        if lo >= 0:
-            desc = ("sup",)
-        elif lo <= -1 <= hi:
-            desc = ("first-hit", Fraction(-1))
-        else:
-            desc = ("last-hit", Fraction(-2))
-    if desc[0] == "sup":
-        return _sweep_sup(g, u, T, truncated=False)
-    if desc[0] == "truncated-sup":
-        return _sweep_sup(g, u, T, truncated=True)
-    if desc[0] == "first-hit":
-        return _sweep_first_hit(g, u, T, desc[1])
-    if desc[0] == "last-hit":
-        return _sweep_last_hit(g, u, T, desc[1])
-    raise ValueError(f"no engine for {desc!r}")
-
-
 def _collect(T_rat: Fraction, codes: np.ndarray, values: np.ndarray) -> EmpiricalLaw:
     # the engines emit the interior in monotone runs, which timsort merges;
     # count_nonzero per code beats np.bincount, which widens the int8 codes
@@ -265,7 +221,7 @@ def _collect(T_rat: Fraction, codes: np.ndarray, values: np.ndarray) -> Empirica
     )
 
 
-def _generic_eval(g, locator: Callable, T: Fraction, shifts) -> EmpiricalLaw:
+def _generic_eval(g, locator: Callable, T: Fraction, shifts: Iterable[Fraction]) -> EmpiricalLaw:
     codes = []
     values = []
     for u in shifts:
@@ -287,6 +243,31 @@ def _generic_eval(g, locator: Callable, T: Fraction, shifts) -> EmpiricalLaw:
     return _collect(T, np.array(codes, dtype=np.int8), np.array(values))
 
 
+def _sample_law(
+    g: PiecewiseLinearPath,
+    locator: Union[str, Callable],
+    T_rat: Fraction,
+    u: np.ndarray,
+    exact_shifts: Iterable[Fraction],
+) -> EmpiricalLaw:
+    """Law of the locator over the shifts u (sorted ascending). A Locator, or
+    its name, runs the vectorized engine of the kind it routes to on g; any
+    other callable is evaluated exactly at exact_shifts, the shifts u as
+    rationals."""
+    if isinstance(locator, str):
+        locator = locator_by_name(locator)
+    if not isinstance(locator, Locator):
+        return _generic_eval(g, locator, T_rat, exact_shifts)
+    loc, T = locator.route(g), float(T_rat)
+    if loc.kind == "first-hit":
+        codes, values = _sweep_first_hit(g, u, T, loc.level)
+    elif loc.kind == "last-hit":
+        codes, values = _sweep_last_hit(g, u, T, loc.level)
+    else:
+        codes, values = _sweep_sup(g, u, T, truncated=loc.kind == "truncated-sup")
+    return _collect(T_rat, codes, values)
+
+
 def sweep_law(
     g: PiecewiseLinearPath,
     locator: Union[str, Callable],
@@ -297,23 +278,20 @@ def sweep_law(
 
     Deterministic and reproducible bit-exactly for a fixed (path, locator,
     grid) triple. The grid is generated in ascending order, as the engines
-    require. A named locator costs O(n + E log n + E^2) for its E node or hit
-    events (a few per path node), plus one stable sort of the interior
-    samples. Midpoints do not keep every shift off a classification
+    require. A Locator or a locator name costs O(n + E log n + E^2) for its
+    E node or hit events (a few per path node), plus one stable sort of the
+    interior samples. Midpoints do not keep every shift off a classification
     boundary: on an odd grid u = 1/2 is a shift, and a hit that lies exactly
     at a window end is misclassified, as is a sup tie that float rounding
-    breaks (see the module docstring).
+    breaks (see the module docstring). Any other callable is evaluated
+    exactly at every shift.
     """
     T_rat = as_rat(T)
     if grid_n < 1:
         raise ValueError("grid_n must be >= 1")
-    desc = _descriptor(locator)
-    if desc is None:
-        shifts = [Fraction(2 * i + 1, 2 * grid_n) for i in range(grid_n)]
-        return _generic_eval(g, locator, T_rat, shifts)
     u = (np.arange(grid_n) + 0.5) / grid_n
-    codes, values = _run_engine(g, desc, u, float(T_rat))
-    return _collect(T_rat, codes, values)
+    shifts = (Fraction(2 * i + 1, 2 * grid_n) for i in range(grid_n))
+    return _sample_law(g, locator, T_rat, u, shifts)
 
 
 def mc_law(
@@ -334,12 +312,8 @@ def mc_law(
         raise ValueError("n must be >= 1")
     rng = np.random.Generator(np.random.Philox(seed))
     u = np.sort(rng.random(n))
-    desc = _descriptor(locator)
-    if desc is None:
-        shifts = [Fraction(x).limit_denominator(10**12) for x in u]
-        return _generic_eval(g, locator, T_rat, shifts)
-    codes, values = _run_engine(g, desc, u, float(T_rat))
-    return _collect(T_rat, codes, values)
+    shifts = (Fraction(x).limit_denominator(10**12) for x in u)
+    return _sample_law(g, locator, T_rat, u, shifts)
 
 
 # --- comparison against a target law ---

@@ -134,6 +134,12 @@ class TestConstructSimulate:
         _run(capsys, "construct", law, "--kind", "invariant", "--out", out)
         assert main(["simulate", out, "--locator", "sdrawkcab", "--T", "1/2", "--grid", "10"]) == 64
 
+    def test_zero_denominator_level_rejected(self, tmp_path, capsys):
+        law = _law_file(tmp_path, E1T_LAW)
+        out = str(tmp_path / "path.json")
+        _run(capsys, "construct", law, "--kind", "invariant", "--out", out)
+        assert main(["simulate", out, "--locator", "first-hit:1/0", "--T", "1/2", "--grid", "10"]) == 64
+
     def test_ecdf_csv(self, tmp_path, capsys):
         law = _law_file(tmp_path, E1T_LAW)
         out = str(tmp_path / "path.json")

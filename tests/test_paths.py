@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from periloc.paths import (
     INFINITY,
+    Locator,
     PiecewiseLinearPath,
     composite_location,
     eval_path,
@@ -228,8 +229,47 @@ class TestLocatorAxioms:
 
 
 def test_locator_names():
-    assert locator_by_name("sup") is sup_location
+    sup = locator_by_name("sup")
+    assert sup == Locator("sup")
+    assert sup(TRIANGLE, F(1, 5), F(4, 5)) == sup_location(TRIANGLE, F(1, 5), F(4, 5)) == F(1, 2)
     fh = locator_by_name("first-hit:1/2")
+    assert fh == Locator("first-hit", F(1, 2))
     assert fh(TRIANGLE, 0, 1) == F(1, 4)
     with pytest.raises(ValueError):
         locator_by_name("nope")
+
+
+class TestLocator:
+    @pytest.mark.parametrize("name", ["nope", "first-hit", "last-hit", "sup:1", "composite:-1", "first-hit:abc", "first-hit:", "first-hit:1/0", "Sup"])
+    def test_parser_rejects(self, name):
+        with pytest.raises(ValueError):
+            locator_by_name(name)
+
+    @pytest.mark.parametrize("kind, level", [("nope", None), ("first-hit", None), ("last-hit", None), ("sup", 1), ("truncated-sup", F(1, 2)), ("composite", -1)])
+    def test_fields_checked(self, kind, level):
+        with pytest.raises(ValueError):
+            Locator(kind, level)
+
+    def test_level_is_a_fraction(self):
+        loc = Locator("last-hit", "-3/2")
+        assert loc == locator_by_name("last-hit:-3/2") == Locator("last-hit", F(-3, 2))
+        assert type(loc.level) is F
+
+    def test_composite_route(self):
+        dip = PiecewiseLinearPath(((F(0), F(0)), (F(3, 10), F(-1)), (F(1), F(0))))
+        deep = PiecewiseLinearPath(((F(0), F(-3, 2)), (F(2, 5), F(-2)), (F(1), F(-3, 2))))
+        composite = Locator("composite")
+        assert composite.route(TRIANGLE) == Locator("sup")
+        assert composite.route(dip) == Locator("first-hit", -1)
+        assert composite.route(deep) == Locator("last-hit", -2)
+        for loc in (Locator("sup"), Locator("first-hit", 1)):
+            assert loc.route(dip) is loc
+
+    @given(paths(), windows())
+    @settings(max_examples=100)
+    def test_evaluates_like_its_function(self, g, window):
+        a, b = window
+        assert Locator("sup")(g, a, b) == sup_location(g, a, b)
+        assert Locator("truncated-sup")(g, a, b) == truncated_sup_location(g, a, b)
+        assert Locator("first-hit", F(1, 2))(g, a, b) == first_hit(g, F(1, 2), a, b)
+        assert Locator("last-hit", -1)(g, a, b) == last_hit(g, -1, a, b)
