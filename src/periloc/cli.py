@@ -43,6 +43,7 @@ from .jsonio import (
 )
 from .membership import HullCertificate, check_class, check_tv, hull_membership_lp
 from .mixability import (
+    ORACLE_MAX_COMPONENTS,
     certify_convex,
     certify_gap,
     certify_linear,
@@ -125,6 +126,14 @@ def _rat_arg(text: str, what: str) -> Fraction:
         raise InputError(f"bad {what} {text!r}: {exc}") from exc
 
 
+def _checked(fn, *args, **kwargs):
+    """fn(*args, **kwargs); a ValueError it raises is bad input (exit 64)."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _emit(report: dict, out) -> None:
     text = dumps_canonical(report)
     if out:
@@ -152,7 +161,7 @@ def cmd_check(args) -> int:
     if args.cls == "TV":
         rep = check_tv(law.density)
     elif args.cls == "hull":
-        res = hull_membership_lp(law)
+        res = _checked(hull_membership_lp, law)
         if isinstance(res, HullCertificate):
             report = {
                 "manifest": _manifest("check", {"law": args.law}),
@@ -200,9 +209,9 @@ def cmd_decompose(args) -> int:
 _GATES = {"invariant": "E1T", "escape": "ET", "first-time": "EMT"}
 
 
-def _plan_summary(law: LocationLaw, escape: bool):
+def _plan_summary(law: LocationLaw):
     try:
-        plan = plan_invariant(law, escape=escape)
+        plan = plan_invariant(law)
     except ValueError:
         return None  # degenerate laws (T = 1, pure atoms) have no valley plan
     return {
@@ -265,7 +274,7 @@ def cmd_construct(args) -> int:
             return EXIT_FAIL
         report["path"] = path_to_obj(path)
         if kind in ("invariant", "escape"):
-            report["plan"] = _plan_summary(law, escape=kind == "escape" and law.atomInf > 0)
+            report["plan"] = _plan_summary(law)
         else:
             top = int(law.density.value(0))
             report["layers"] = [
@@ -293,10 +302,7 @@ def _write_ecdf(emp, out: str) -> None:
 
 def cmd_simulate(args) -> int:
     g = _load_path(args.path)
-    try:
-        locator = locator_by_name(args.locator)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    locator = _checked(locator_by_name, args.locator)
     T = _rat_arg(args.T, "window length")
     if not 0 < T <= 1:
         raise InputError(f"window length {T} outside (0, 1]")
@@ -308,10 +314,10 @@ def cmd_simulate(args) -> int:
     if args.target:
         inputs["target"] = args.target
     if args.grid is not None:
-        emp = sweep_law(g, locator, T, args.grid)
+        emp = _checked(sweep_law, g, locator, T, args.grid)
         grid = {"grid": args.grid}
     else:
-        emp = mc_law(g, locator, T, args.mc, seed=seed)
+        emp = _checked(mc_law, g, locator, T, args.mc, seed=seed)
         grid = {"mc": args.mc}
     report = {
         "manifest": _manifest("simulate", inputs, seed=seed, grid=grid),
@@ -348,10 +354,7 @@ def cmd_bound(args) -> int:
     t = _rat_arg(args.t, "bound point")
     T = _rat_arg(args.T, "window length")
     eps = _rat_arg(args.eps, "eps") if args.eps else None
-    try:
-        law = bound_attaining_law(t, T, eps)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    law = _checked(bound_attaining_law, t, T, eps)
     report = {
         "manifest": _manifest("bound", {}),
         "t": str(t),
@@ -380,10 +383,7 @@ def _coupling_certificate(n: int, coupling) -> dict:
 
 def cmd_mix(args) -> int:
     law = _load_law(args.law)
-    try:
-        problem = component_distributions(law.density, law.T)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    problem = _checked(component_distributions, law.density, law.T)
     report = {
         "manifest": _manifest("mix", {"law": args.law}, seed=_resolve_seed(args)),
         "method": args.method,
@@ -407,7 +407,7 @@ def cmd_mix(args) -> int:
         return EXIT_OK
     n = args.n if args.n is not None else (6 if args.method == "oracle" else 64)
     if args.method == "search":
-        coupling = rearrangement_coupling(problem, n, seed=_resolve_seed(args))
+        coupling = _checked(rearrangement_coupling, problem, n, seed=_resolve_seed(args))
         slack = problem.slack(n)
         certified = coupling.max_row_sum <= 1 + slack
         report["n"] = n
@@ -421,15 +421,13 @@ def cmd_mix(args) -> int:
         report["certificate"] = _coupling_certificate(n, coupling)
         _emit(report, args.out)
         return EXIT_OK
-    # oracle
-    if problem.N > 3:
+    # oracle: too many components is "unknown"; a bad n is an input error
+    if problem.N > ORACLE_MAX_COMPONENTS:
         report["certificate"] = None
-        report["note"] = "oracle limited to N <= 3"
+        report["note"] = f"oracle limited to N <= {ORACLE_MAX_COMPONENTS}"
         _emit(report, args.out)
         return EXIT_UNKNOWN
-    if n > 8:
-        raise InputError("oracle limited to n <= 8")
-    best = optimal_coupling(problem, n)
+    best = _checked(optimal_coupling, problem, n)
     feasible = best.max_row_sum <= 1
     report["n"] = n
     report["max_row_sum"] = str(best.max_row_sum)

@@ -145,12 +145,16 @@ def realize_plan(plan: ConstructionPlan) -> PiecewiseLinearPath:
     return PiecewiseLinearPath(nodes)
 
 
-def plan_invariant(law: LocationLaw, escape: bool = False) -> ConstructionPlan:
+def plan_invariant(law: LocationLaw) -> ConstructionPlan:
     """Partition the blocks of the density over min-many components.
 
-    The escape variant keeps the first component free of central blocks and
-    widens its valley floor by atomInf.
+    With mass at infinity (the escape construction) the first component
+    stays free of central blocks and its valley floor widens by atomInf.
+    A T = 1 law has no valley plan: its construction is a fixed triangle.
     """
+    if law.T == 1:
+        raise ValueError("T = 1 laws have no valley plan")
+    escape = law.atomInf > 0
     dec = block_decomposition(law.density)
     m1 = dec.count("base")
     if m1 < 1:
@@ -224,7 +228,7 @@ def construct_invariant_with_escape(law: LocationLaw) -> PiecewiseLinearPath:
         return PiecewiseLinearPath([(0, Fraction(1, 4)), (HALF, Fraction(3, 8)), (1, Fraction(1, 4))])
     if law.atom0 == 0 or law.atomT == 0:
         raise ValueError("escape construction needs positive atoms at 0 and at T")
-    return realize_plan(plan_invariant(law, escape=True))
+    return realize_plan(plan_invariant(law))
 
 
 def construct_first_time(law: LocationLaw) -> PiecewiseLinearPath:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, str, Fraction]
@@ -133,6 +134,27 @@ def make_step_density(breakpoints: Sequence[Rational], values: Sequence[Rational
         tuple(as_rat(x) for x in breakpoints),
         tuple((as_rat(v), Fraction(0)) for v in values),
     )
+
+
+def span_density(T: Rational, spans: Iterable[tuple]) -> PiecewiseDensity:
+    """Step density on (0, T) whose value on each cell is the number of
+    spans (lo, hi) covering it.
+
+    Every span end inside (0, T) is a breakpoint, so each cell lies inside
+    or outside each span. Ends may be infinite; an empty or reversed span
+    adds its ends as breakpoints and nothing to the count.
+    """
+    T = as_rat(T)
+    spans = list(spans)
+    cuts = sorted({Fraction(0), T, *(x for span in spans for x in span if 0 < x < T)})
+    index = {x: i for i, x in enumerate(cuts)}
+    steps = [0] * len(cuts)  # +1 where a span opens, -1 where it closes
+    for lo, hi in spans:
+        lo, hi = max(lo, 0), min(hi, T)
+        if lo < hi:
+            steps[index[lo]] += 1
+            steps[index[hi]] -= 1
+    return make_step_density(cuts, list(accumulate(steps[:-1])))
 
 
 def integral(f: PiecewiseDensity, t1: Rational, t2: Rational) -> Fraction:
@@ -344,20 +366,17 @@ def _classify(u: Fraction, v: Fraction, T: Fraction) -> str:
     return "central"
 
 
-def block_decomposition(f: PiecewiseDensity, T: Rational | None = None) -> BlockDecomposition:
+def block_decomposition(f: PiecewiseDensity) -> BlockDecomposition:
     """Peel an integer step density into maximal level runs.
 
     Level l in 1..max contributes one block (u, v] per maximal run of
     consecutive cells with value >= l; blocks at different levels are nested,
     blocks at the same level have disjoint closures.
     """
-    T = f.T if T is None else as_rat(T)
-    if T != f.T:
-        raise ValueError("T must match the density domain")
     if not f.is_integer_step():
         raise ValueError("block decomposition needs an integer step density")
     vals = [int(p) for p, _ in f.segments]
-    bp = f.breakpoints
+    bp, T = f.breakpoints, f.T
     blocks: list[Block] = []
     for level in range(1, max(vals, default=0) + 1):
         j = 0
@@ -371,13 +390,3 @@ def block_decomposition(f: PiecewiseDensity, T: Rational | None = None) -> Block
             else:
                 j += 1
     return BlockDecomposition(T, tuple(blocks))
-
-
-def reconstruct_blocks(dec: BlockDecomposition) -> PiecewiseDensity:
-    """Sum of indicators of the blocks, as a step density on (0, T)."""
-    cuts = sorted({Fraction(0), dec.T} | {b.u for b in dec.blocks} | {b.v for b in dec.blocks})
-    values = []
-    for a, b in zip(cuts, cuts[1:]):
-        mid_level = sum(1 for blk in dec.blocks if blk.u <= a and b <= blk.v)
-        values.append(Fraction(mid_level))
-    return make_step_density(cuts, values)

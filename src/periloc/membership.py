@@ -362,18 +362,14 @@ def _phase1_simplex(A: list[list[Fraction]], b: list[Fraction]):
     return x
 
 
-def hull_membership_lp(
-    law: LocationLaw,
-    max_level: Optional[int] = None,
-    cap: int = 200_000,
-) -> Union[HullCertificate, MembershipReport]:
+def hull_membership_lp(law: LocationLaw, cap: int = 200_000) -> Union[HullCertificate, MembershipReport]:
     """Search for an exact convex decomposition into extreme laws.
 
     Candidates are integer step densities on the input's breakpoints with
-    values up to max_level (default: ceil(sup f) + 1) and atoms on the
-    rational lattice generated by the input's atoms and cell masses, each
-    filtered through check_class(ET). Feasibility of the exact equality LP
-    yields a certificate; infeasibility yields non-member only when the
+    values up to ceil(sup f) + 1 and atoms on the rational lattice generated
+    by the input's atoms and cell masses, each filtered through
+    check_class(ET). Feasibility of the exact equality LP yields a
+    certificate; infeasibility yields non-member only when the
     forced-envelope argument applies, otherwise unknown.
 
     cap bounds the number of candidates enumerated (each costs one
@@ -386,8 +382,7 @@ def hull_membership_lp(
     direct = check_class(law, "ET")
     if direct.is_member:
         return HullCertificate(((law, Fraction(1)),))
-    if max_level is None:
-        max_level = ceil(f.sup()) + 1
+    max_level = ceil(f.sup()) + 1
 
     lens = [b - a for a, b in zip(f.breakpoints, f.breakpoints[1:])]
     D = lcm(

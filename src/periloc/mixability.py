@@ -346,7 +346,12 @@ def rearrangement_search(
     return None
 
 
-def optimal_coupling(problem: MixProblem, n: int, N_max: int = 3) -> Coupling:
+# the oracle scans n! orders of the second of at most three components
+ORACLE_MAX_COMPONENTS = 3
+ORACLE_MAX_QUANTILES = 8
+
+
+def optimal_coupling(problem: MixProblem, n: int) -> Coupling:
     """Exact minimal max-row-sum coupling at the n-quantile level.
 
     Exhausts the second column's n! permutations; the remaining column is
@@ -355,10 +360,12 @@ def optimal_coupling(problem: MixProblem, n: int, N_max: int = 3) -> Coupling:
     builds one Coupling, for the first permutation with the smallest worst
     row sum.
     """
-    if problem.N > N_max:
-        raise ValueError(f"oracle limited to N <= {N_max}")
-    if n > 8:
-        raise ValueError("oracle limited to n <= 8")
+    if problem.N > ORACLE_MAX_COMPONENTS:
+        raise ValueError(f"oracle limited to N <= {ORACLE_MAX_COMPONENTS}")
+    if n > ORACLE_MAX_QUANTILES:
+        raise ValueError(f"oracle limited to n <= {ORACLE_MAX_QUANTILES}")
+    if n < 1:
+        raise ValueError("need n >= 1")
     cols = problem.quantile_columns(n)
     if problem.N == 0:
         return _make_coupling([], n)

@@ -40,12 +40,6 @@ class PiecewiseLinearPath:
         if nd[0][1] != nd[-1][1]:
             raise ValueError("period seam mismatch: g(0) != g(1)")
 
-    def times(self) -> tuple[Fraction, ...]:
-        return tuple(t for t, _ in self.nodes)
-
-    def values(self) -> tuple[Fraction, ...]:
-        return tuple(y for _, y in self.nodes)
-
     def min_value(self) -> Fraction:
         return min(y for _, y in self.nodes)
 

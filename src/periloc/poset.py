@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import floor
 from typing import Optional
 
-from .density import LocationLaw, PiecewiseDensity, Rational, as_rat, make_step_density
+from .density import LocationLaw, Rational, as_rat, span_density
 from .paths import INFINITY, LocationResult
 
 ORDER_KINDS = ("first_time", "last_time", "explicit")
@@ -134,31 +134,16 @@ def poset_location(ps: PointSystem, a: Rational, b: Rational) -> LocationResult:
 
 
 def _circle_union_measure(intervals: list[tuple[Fraction, Fraction]]) -> Fraction:
-    """Measure of a union of arcs [lo, hi] (hi - lo <= 1) on the unit circle."""
-    if not intervals:
-        return Fraction(0)
-    flat: list[tuple[Fraction, Fraction]] = []
+    """Measure of a union of arcs [lo, hi] (lo <= hi) on the unit circle."""
+    spans = []
     for lo, hi in intervals:
-        if hi - lo >= 1:
-            return Fraction(1)
         lo_m = lo % 1
         hi_m = lo_m + (hi - lo)
-        if hi_m <= 1:
-            flat.append((lo_m, hi_m))
-        else:
-            flat.append((lo_m, Fraction(1)))
-            flat.append((Fraction(0), hi_m - 1))
-    flat.sort()
-    total = Fraction(0)
-    cur_lo, cur_hi = flat[0]
-    for lo, hi in flat[1:]:
-        if lo > cur_hi:
-            total += cur_hi - cur_lo
-            cur_lo, cur_hi = lo, hi
-        else:
-            cur_hi = max(cur_hi, hi)
-    total += cur_hi - cur_lo
-    return total
+        # the part of the arc past 1 wraps round to the start of the period
+        spans += [(lo_m, hi_m), (lo_m - 1, hi_m - 1)]
+    f = span_density(1, spans)
+    cells = zip(f.breakpoints, f.breakpoints[1:], f.segments)
+    return sum((b - a for a, b, (count, _) in cells if count > 0), Fraction(0))
 
 
 def counting_density(ps: PointSystem, T: Rational) -> LocationLaw:
@@ -167,22 +152,11 @@ def counting_density(ps: PointSystem, T: Rational) -> LocationLaw:
     T = as_rat(T)
     if not 0 < T <= 1:
         raise ValueError("need 0 < T <= 1")
+    # point s counts at t iff a_s >= t and b_s >= T - t: the span (T - b_s, a_s)
     reaches = [reach(ps, s) for s in ps.points]
-    cuts = {Fraction(0), T}
-    for r in reaches:
-        if r.a != INFINITY and 0 < r.a < T:
-            cuts.add(Fraction(r.a))
-        if r.b != INFINITY and 0 < T - r.b < T:
-            cuts.add(T - Fraction(r.b))
-    grid = sorted(cuts)
-    values = []
-    for lo, hi in zip(grid, grid[1:]):
-        mid = (lo + hi) / 2
-        values.append(
-            Fraction(sum(1 for r in reaches if r.a >= mid and r.b >= T - mid))
-        )
+    density = span_density(T, [(T - r.b, r.a) for r in reaches])
     atom_inf = 1 - _circle_union_measure([(s - T, s) for s in ps.points])
-    return LocationLaw(T, make_step_density(grid, values), atomInf=atom_inf)
+    return LocationLaw(T, density, atomInf=atom_inf)
 
 
 def sweep_oracle(ps: PointSystem, T: Rational) -> LocationLaw:
@@ -197,7 +171,7 @@ def sweep_oracle(ps: PointSystem, T: Rational) -> LocationLaw:
     if not 0 < T <= 1:
         raise ValueError("need 0 < T <= 1")
     if not ps.points:
-        return LocationLaw(T, make_step_density([0, T], [0]), atomInf=1)
+        return LocationLaw(T, span_density(T, []), atomInf=1)
     events = sorted({s % 1 for s in ps.points} | {(s - T) % 1 for s in ps.points})
     spans: list[tuple[Fraction, Fraction]] = []  # location intervals, unit weight
     atom_inf = Fraction(0)
@@ -212,9 +186,4 @@ def sweep_oracle(ps: PointSystem, T: Rational) -> LocationLaw:
         else:
             # location = m - U for U in (e1, e2)
             spans.append((m - e2, m - e1))
-    cuts = sorted({Fraction(0), T} | {lo for lo, _ in spans} | {hi for _, hi in spans})
-    values = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        mid = (lo + hi) / 2
-        values.append(Fraction(sum(1 for s_lo, s_hi in spans if s_lo < mid < s_hi)))
-    return LocationLaw(T, make_step_density(cuts, values), atomInf=atom_inf)
+    return LocationLaw(T, span_density(T, spans), atomInf=atom_inf)

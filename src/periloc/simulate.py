@@ -331,7 +331,8 @@ def _interior_cdf_table(law: LocationLaw):
 
 
 def _sorted_cdf(law: LocationLaw, x: np.ndarray) -> np.ndarray:
-    """interior_cdf on x sorted ascending, one slice per density cell."""
+    """Integral of the density over (0, x], for float x sorted ascending
+    (clipped to [0, T]), evaluated one slice per density cell."""
     bp, cum, segs = _interior_cdf_table(law)
     x = np.clip(x, bp[0], bp[-1])
     cuts = [0, *np.searchsorted(x, bp[1:-1], side="left").tolist(), len(x)]
@@ -346,16 +347,6 @@ def _sorted_cdf(law: LocationLaw, x: np.ndarray) -> np.ndarray:
         else:
             out[s:e] = cum[j] + p * (xs - a) + q * (xs * xs - a * a) / 2
     return out
-
-
-def interior_cdf(law: LocationLaw, x: np.ndarray) -> np.ndarray:
-    """Integral of the density over (0, x], vectorized over float x."""
-    x = np.asarray(x, dtype=float)
-    flat = x.ravel()
-    order = np.argsort(flat, kind="stable")
-    out = np.empty_like(flat)
-    out[order] = _sorted_cdf(law, flat[order])
-    return out.reshape(x.shape)
 
 
 def compare(

@@ -105,6 +105,14 @@ class TestConstructSimulate:
         )
         assert code == 0 and rep["layers"] == ["2/5", "1/5", "1/5"]
 
+    def test_full_window_reports_no_plan(self, tmp_path, capsys):
+        # the T = 1 construction is a fixed triangle, not a valley plan
+        law = _law_file(tmp_path, step_law(1, (0, 1), (1,)))
+        out = str(tmp_path / "path.json")
+        code, rep = _run(capsys, "construct", law, "--kind", "invariant", "--out", out)
+        assert code == 0 and rep["plan"] is None
+        assert json.loads(open(out).read())["nodes"] == [["0", "2"], ["1/2", "0"], ["1", "2"]]
+
     def test_wrong_target_fails(self, tmp_path, capsys):
         law = _law_file(tmp_path, E1T_LAW)
         wrong = step_law(
@@ -246,6 +254,43 @@ class TestDecomposeBoundMix:
         assert code == 2
         code, rep = _run(capsys, "mix", str(q), "--method", "oracle", "--n", "6")
         assert code == 1 and rep["max_row_sum"] == "7/6"
+
+
+class TestBadArgumentValues:
+    """Argument values the library refuses are usage errors (64), reported
+    as one JSON line on stderr, never a traceback with exit 1."""
+
+    @staticmethod
+    def _usage_error(capsys, *argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 64, argv
+        assert captured.out == ""
+        return json.loads(captured.err)["error"]
+
+    def test_simulate_sample_sizes(self, tmp_path, capsys):
+        law = _law_file(tmp_path, E1T_LAW)
+        out = str(tmp_path / "path.json")
+        _run(capsys, "construct", law, "--kind", "invariant", "--out", out)
+        for flag, value in (("--grid", "0"), ("--grid", "-3"), ("--mc", "0")):
+            self._usage_error(capsys, "simulate", out, "--locator", "sup", "--T", "1/2", flag, value)
+
+    def test_mix_quantile_levels(self, tmp_path, capsys):
+        law = _law_file(tmp_path, MIX3_LAW)
+        for n in ("1", "0"):
+            assert self._usage_error(capsys, "mix", law, "--method", "search", "--n", n) == "need n >= 2"
+        for n in ("0", "-2"):
+            assert self._usage_error(capsys, "mix", law, "--method", "oracle", "--n", n) == "need n >= 1"
+        assert self._usage_error(capsys, "mix", law, "--method", "oracle", "--n", "9") == "oracle limited to n <= 8"
+
+    def test_check_hull_on_sloped_density(self, tmp_path, capsys):
+        ramp = law_to_obj(step_law(F(3, 5), (0, F(1, 2), F(3, 5)), (0, 0), atom0=1))
+        ramp["density"]["segments"][0] = {"p": "2", "q": "-4"}
+        ramp["atoms"]["zero"] = "1/2"
+        p = tmp_path / "ramp.json"
+        p.write_text(dumps_canonical(ramp))
+        message = self._usage_error(capsys, "check", str(p), "--class", "hull")
+        assert message == "hull test supports step densities only"
 
 
 # --- mix reports recorded from the Fraction kernels ---

@@ -163,7 +163,7 @@ class TestEscape:
             atomT=F(1, 10),
             atomInf=F(1, 10),
         )
-        plan = plan_invariant(law, escape=True)
+        plan = plan_invariant(law)
         assert plan.components[0].central is None
         assert plan.components[0].extra == F(1, 10)
         assert plan.components[1].central == (F(1, 10), F(1, 5))

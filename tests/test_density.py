@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from periloc.density import (
@@ -16,10 +16,11 @@ from periloc.density import (
     integral,
     make_step_density,
     mix_laws,
-    reconstruct_blocks,
+    span_density,
     step_law,
     total_variation,
 )
+from periloc.paths import INFINITY
 
 
 # --- strategies ---
@@ -269,7 +270,7 @@ class TestBlockDecomposition:
     @settings(max_examples=200)
     def test_reconstruction_identity(self, f):
         dec = block_decomposition(f)
-        g = reconstruct_blocks(dec)
+        g = span_density(dec.T, [(b.u, b.v) for b in dec.blocks])
         for j in range(f.k):
             t = (f.breakpoints[j] + f.breakpoints[j + 1]) / 2
             assert g.value(t) == f.value(t)
@@ -285,6 +286,30 @@ class TestBlockDecomposition:
                 nested = (a.u <= b.u and b.v <= a.v) or (b.u <= a.u and a.v <= b.v)
                 disjoint = a.v < b.u or b.v < a.u
                 assert nested or disjoint
+
+
+# --- spans to a step density ---
+
+span_ends = st.integers(-10, 50).map(lambda n: F(n, 40)) | st.sampled_from([-INFINITY, INFINITY])
+
+
+class TestSpanDensity:
+    @given(
+        T=st.sampled_from([F(3, 10), F(1, 2), F(1)]),
+        spans=st.lists(st.tuples(span_ends, span_ends), max_size=8),
+    )
+    # an empty and a reversed span cut the domain and count nowhere
+    @example(T=F(1), spans=[(F(1, 4), F(1, 4)), (F(3, 4), F(1, 2))])
+    @example(T=F(1, 2), spans=[(-INFINITY, F(1, 5)), (F(1, 10), INFINITY), (-INFINITY, INFINITY)])
+    @settings(max_examples=300)
+    def test_counts_covering_spans(self, T, spans):
+        f = span_density(T, spans)
+        ends = {x for span in spans for x in span if 0 < x < T}
+        assert set(f.breakpoints) == {F(0), T} | ends
+        assert f.is_step()
+        for a, b in zip(f.breakpoints, f.breakpoints[1:]):
+            mid = (a + b) / 2
+            assert f.value(mid) == sum(1 for lo, hi in spans if lo < mid < hi)
 
 
 # --- laws and mixing ---

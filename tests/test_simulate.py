@@ -18,8 +18,8 @@ from periloc.paths import (
 )
 from periloc.simulate import (
     EmpiricalLaw,
+    _sorted_cdf,
     compare,
-    interior_cdf,
     mc_law,
     sweep_law,
 )
@@ -215,7 +215,7 @@ def assert_same_bytes(a: EmpiricalLaw, b: EmpiricalLaw):
 
 
 class TestEnginesMatchPerShiftReference:
-    """sweep_law, mc_law, compare and interior_cdf reproduce the per-shift
+    """sweep_law, mc_law, compare and _sorted_cdf reproduce the per-shift
     engines of tests/sweep_reference.py byte for byte."""
 
     @given(case=sweep_cases())
@@ -244,11 +244,11 @@ class TestEnginesMatchPerShiftReference:
 
     @given(T=horizons, data=st.data())
     @settings(max_examples=200, deadline=None)
-    def test_interior_cdf_on_unsorted_x(self, T, data):
+    def test_interior_cdf_on_sorted_x(self, T, data):
         law = data.draw(laws(T))
         points = st.sampled_from([float(b) for b in law.density.breakpoints]) | st.floats(-1, 2)
-        x = np.array(data.draw(st.lists(points, max_size=40)), dtype=float)
-        assert interior_cdf(law, x).tobytes() == ref.interior_cdf(law, x).tobytes()
+        x = np.sort(np.array(data.draw(st.lists(points, max_size=40)), dtype=float))
+        assert _sorted_cdf(law, x).tobytes() == ref.interior_cdf(law, x).tobytes()
 
 
 class TestLocatorDispatch:
@@ -337,11 +337,11 @@ class TestInteriorCdf:
     def test_step_density(self):
         law = step_law(1, (0, F(1, 4), 1), (2, F(2, 3)))
         x = np.array([0.0, 0.25, 0.5, 1.0])
-        np.testing.assert_allclose(interior_cdf(law, x), [0, 0.5, 2 / 3, 1])
+        np.testing.assert_allclose(_sorted_cdf(law, x), [0, 0.5, 2 / 3, 1])
 
     def test_clips_outside_support(self):
         law = step_law(F(1, 2), (0, F(1, 2)), (2,))
-        np.testing.assert_allclose(interior_cdf(law, np.array([-1.0, 2.0])), [0, 1])
+        np.testing.assert_allclose(_sorted_cdf(law, np.array([-1.0, 2.0])), [0, 1])
 
 
 class TestEmpiricalLaw:
