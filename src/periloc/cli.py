@@ -241,8 +241,8 @@ def cmd_construct(args) -> int:
             raise InputError(f"bad bound parameters {kind!r}")
         t = _rat_arg(params[0], "bound point")
         eps = _rat_arg(params[1], "bound eps") if len(params) == 2 else None
+        target = _checked(bound_attaining_law, t, law.T, eps)
         try:
-            target = bound_attaining_law(t, law.T, eps)
             path = construct_invariant(target)
         except ValueError as exc:
             _emit({**report, "error": str(exc)}, None)

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil, lcm
+from math import ceil
 from typing import Optional, Union
 
 from .density import (
@@ -22,6 +22,9 @@ from .density import (
 VERDICT_MEMBER = "member"
 VERDICT_NON_MEMBER = "non-member"
 VERDICT_UNKNOWN = "unknown"
+
+# most hull candidates one search enumerates before it answers unknown
+HULL_CANDIDATE_CAP = 200_000
 
 _CLASS_ALIASES = {
     "ET": "ET", "E_T": "ET",
@@ -253,17 +256,6 @@ def check_class(law: LocationLaw, cls: str) -> MembershipReport:
 # --- convex hull of the extreme set ---
 
 
-def _candidate_atom_triples(leftover: Fraction, D: int):
-    """All (a0, aT, aInf) on the lattice 1/D with sum == leftover."""
-    m = leftover * D
-    if m.denominator != 1 or m < 0:
-        return
-    m = int(m)
-    for i in range(m + 1):
-        for j in range(m - i + 1):
-            yield Fraction(i, D), Fraction(j, D), Fraction(m - i - j, D)
-
-
 def _forced_envelope_witness(law: LocationLaw) -> Optional[MembershipReport]:
     """Non-membership by the monotone-envelope argument.
 
@@ -362,19 +354,21 @@ def _phase1_simplex(A: list[list[Fraction]], b: list[Fraction]):
     return x
 
 
-def hull_membership_lp(law: LocationLaw, cap: int = 200_000) -> Union[HullCertificate, MembershipReport]:
+def hull_membership_lp(law: LocationLaw) -> Union[HullCertificate, MembershipReport]:
     """Search for an exact convex decomposition into extreme laws.
 
     Candidates are integer step densities on the input's breakpoints with
-    values up to ceil(sup f) + 1 and atoms on the rational lattice generated
-    by the input's atoms and cell masses, each filtered through
-    check_class(ET). Feasibility of the exact equality LP yields a
-    certificate; infeasibility yields non-member only when the
+    values up to ceil(sup f) + 1 and interior mass at most 1, each with its
+    leftover mass m on one atom (all three atoms zero when m = 0), filtered
+    through check_class(ET). A split of m over several atoms is a mixture of
+    these: check_class reads the atoms only through which of them are zero,
+    and zeroing atoms adds no condition. Feasibility of the exact equality LP
+    yields a certificate; infeasibility yields non-member only when the
     forced-envelope argument applies, otherwise unknown.
 
-    cap bounds the number of candidates enumerated (each costs one
-    check_class call), accepted or not; a search that would enumerate more
-    returns unknown with the reason "enumeration-capped".
+    HULL_CANDIDATE_CAP bounds the number of candidates enumerated (each costs
+    one check_class call), accepted or not; a search that would enumerate
+    more returns unknown with the reason "enumeration-capped".
     """
     f = law.density
     if not f.is_step():
@@ -385,41 +379,28 @@ def hull_membership_lp(law: LocationLaw, cap: int = 200_000) -> Union[HullCertif
     max_level = ceil(f.sup()) + 1
 
     lens = [b - a for a, b in zip(f.breakpoints, f.breakpoints[1:])]
-    D = lcm(
-        law.atom0.denominator,
-        law.atomT.denominator,
-        law.atomInf.denominator,
-        *[l.denominator for l in lens],
+    zero = Fraction(0)
+    pairs = (
+        (values, atoms)
+        for values in product(range(max_level + 1), repeat=f.k)
+        if (m := 1 - sum(v * l for v, l in zip(values, lens))) >= 0
+        for atoms in (((zero, zero, m), (zero, m, zero), (m, zero, zero)) if m else ((m, m, m),))
     )
     candidates: list[LocationLaw] = []
-    enumerated = 0
-    overflow = False
-    for values in product(range(max_level + 1), repeat=f.k):
-        interior = sum(v * l for v, l in zip(values, lens))
-        if interior > 1:
-            continue
-        for a0, aT, aInf in _candidate_atom_triples(1 - interior, D):
-            if enumerated >= cap:
-                overflow = True
-                break
-            enumerated += 1
-            cand = LocationLaw(
-                law.T,
-                make_step_density(f.breakpoints, [Fraction(v) for v in values]),
-                a0,
-                aT,
-                aInf,
+    for enumerated, (values, atoms) in enumerate(pairs):
+        if enumerated == HULL_CANDIDATE_CAP:
+            return MembershipReport(
+                VERDICT_UNKNOWN,
+                ("enumeration-capped",),
+                f"candidate cap {HULL_CANDIDATE_CAP} reached",
             )
-            if check_class(cand, "ET").is_member:
-                candidates.append(cand)
-        if overflow:
-            break
-    if overflow:
-        return MembershipReport(
-            VERDICT_UNKNOWN,
-            ("enumeration-capped",),
-            f"candidate cap {cap} reached",
+        cand = LocationLaw(
+            law.T,
+            make_step_density(f.breakpoints, [Fraction(v) for v in values]),
+            *atoms,
         )
+        if check_class(cand, "ET").is_member:
+            candidates.append(cand)
 
     if candidates:
         # equality constraints: each cell value, each atom, total weight

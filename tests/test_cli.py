@@ -292,6 +292,16 @@ class TestBadArgumentValues:
         message = self._usage_error(capsys, "check", str(p), "--class", "hull")
         assert message == "hull test supports step densities only"
 
+    def test_construct_bound_point_outside_window(self, tmp_path, capsys):
+        law = _law_file(tmp_path, E1T_LAW)  # T = 1/2
+        message = self._usage_error(capsys, "construct", law, "--kind", "bound:3/5")
+        assert message == "need 0 < t < T <= 1"
+
+    def test_construct_bound_eps_out_of_range(self, tmp_path, capsys):
+        law = _law_file(tmp_path, E1T_LAW)
+        message = self._usage_error(capsys, "construct", law, "--kind", "bound:1/5,9")
+        assert message == "eps must lie in [0, 1/30]"
+
 
 # --- mix reports recorded from the Fraction kernels ---
 # The expected output below was printed by `periloc mix` when the oracle and

@@ -1,18 +1,23 @@
 """Variation-constraint checkers, extreme-class checks, hull certificates."""
 
+import random
 from fractions import Fraction as F
+from itertools import product
+from math import ceil, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from periloc.density import (
     LocationLaw,
     PiecewiseDensity,
+    integral,
     make_step_density,
     step_law,
     total_variation,
 )
+from periloc import membership
 from periloc.membership import (
     HullCertificate,
     MembershipReport,
@@ -22,7 +27,7 @@ from periloc.membership import (
     hull_membership_lp,
 )
 
-from test_density import step_densities
+from test_density import integer_step_densities, step_densities
 
 
 # --- condition (TV) ---
@@ -187,6 +192,15 @@ class TestCheckClass:
 
 # --- hull membership ---
 
+# the four-cell law (3/2, 1/2, 3/2, 1/2) with atoms 1/4 at 0 and at T
+FOUR_CELL_LAW = step_law(
+    F(1, 2),
+    [0, F(1, 8), F(1, 4), F(3, 8), F(1, 2)],
+    [F(3, 2), F(1, 2), F(3, 2), F(1, 2)],
+    atom0=F(1, 4),
+    atomT=F(1, 4),
+)
+
 
 class TestHullMembership:
     def test_extreme_law_is_its_own_certificate(self):
@@ -215,26 +229,38 @@ class TestHullMembership:
         assert rep.witness["integral"] == F(3, 2)
         assert rep.witness["forced_value"] == 2
 
-    def test_cap_reports_unknown(self):
+    def test_cap_reports_unknown(self, monkeypatch):
+        monkeypatch.setattr(membership, "HULL_CANDIDATE_CAP", 1)
         law = step_law(1, [0, F(3, 4), 1], [F(4, 3), 0])
-        rep = hull_membership_lp(law, cap=1)
+        rep = hull_membership_lp(law)
         assert rep.verdict == "unknown"
         assert "enumeration-capped" in rep.violated_conditions
 
-    def test_cap_counts_rejected_candidates(self):
-        # about 2,170 candidates are enumerated and 169 pass check_class, so a
-        # cap of 1000 must stop the search even though few are accepted
-        law = step_law(
-            F(1, 2),
-            [0, F(1, 8), F(1, 4), F(3, 8), F(1, 2)],
-            [F(3, 2), F(1, 2), F(3, 2), F(1, 2)],
-            atom0=F(1, 4),
-            atomT=F(1, 4),
-        )
-        rep = hull_membership_lp(law, cap=1000)
+    def test_cap_counts_rejected_candidates(self, monkeypatch):
+        # 601 candidates are enumerated and 121 pass check_class, so a cap of
+        # 300 must stop the search even though few are accepted
+        monkeypatch.setattr(membership, "HULL_CANDIDATE_CAP", 300)
+        rep = hull_membership_lp(FOUR_CELL_LAW)
         assert isinstance(rep, MembershipReport)
         assert rep.verdict == "unknown"
         assert rep.violated_conditions == ("enumeration-capped",)
+
+    def test_one_candidate_per_atom(self, monkeypatch):
+        # each value vector puts its leftover mass on one atom at a time:
+        # the law itself, then 601 candidates, 121 of them extreme
+        calls = []
+
+        def counting_check_class(law, cls):
+            rep = check_class(law, cls)
+            calls.append(rep.is_member)
+            return rep
+
+        monkeypatch.setattr(membership, "check_class", counting_check_class)
+        rep = hull_membership_lp(FOUR_CELL_LAW)
+        assert rep.verdict == "unknown"
+        assert rep.violated_conditions == ("no-certificate-in-family",)
+        assert len(calls) == 1 + 601
+        assert sum(calls[1:]) == 121
 
     def test_mixture_of_uniform_and_point_mass(self):
         law = step_law(1, [0, 1], [F(1, 2)], atom0=F(1, 2))
@@ -276,3 +302,105 @@ class TestHullMembership:
             assert mixed.interior_mass() == law.interior_mass()
             for comp, w in out.components:
                 assert check_class(comp, "ET").is_member
+
+
+# --- the one-atom candidate family spans the same hull ---
+
+
+def _lattice_family_feasible(law):
+    """Is the hull LP feasible over the family of every atom triple on the
+    1/D lattice (D the lcm of the atoms' and cell lengths' denominators), the
+    same value vectors and the same check_class filter?"""
+    f = law.density
+    lens = [b - a for a, b in zip(f.breakpoints, f.breakpoints[1:])]
+    D = lcm(
+        law.atom0.denominator,
+        law.atomT.denominator,
+        law.atomInf.denominator,
+        *[l.denominator for l in lens],
+    )
+    candidates = []
+    for values in product(range(ceil(f.sup()) + 2), repeat=f.k):
+        m = (1 - sum(v * l for v, l in zip(values, lens))) * D
+        if m < 0:
+            continue
+        density = make_step_density(f.breakpoints, [F(v) for v in values])
+        for i in range(int(m) + 1):
+            for j in range(int(m) - i + 1):
+                cand = LocationLaw(law.T, density, F(i, D), F(j, D), F(int(m) - i - j, D))
+                if check_class(cand, "ET").is_member:
+                    candidates.append(cand)
+    if not candidates:
+        return False
+    A = [[c.density.segments[j][0] for c in candidates] for j in range(f.k)]
+    A += [[getattr(c, attr) for c in candidates] for attr in ("atom0", "atomT", "atomInf")]
+    A.append([F(1)] * len(candidates))
+    b = [p for p, _ in f.segments] + [law.atom0, law.atomT, law.atomInf, F(1)]
+    return membership._phase1_simplex(A, b) is not None
+
+
+def _small_step_laws(n, seed):
+    """n step laws: 1-3 cells on the quarters of T, with T = 1 for three
+    cells and T in {1/2, 1} otherwise, values in halves up to 2, atoms on
+    1/8."""
+    r = random.Random(seed)
+    laws = []
+    while len(laws) < n:
+        cuts = sorted(r.sample(range(1, 4), r.randint(0, 2)))
+        T = F(1) if len(cuts) == 2 else r.choice((F(1, 2), F(1)))
+        bp = [F(0)] + [T * c / 4 for c in cuts] + [T]
+        vals = [F(r.randint(0, 4), 2) for _ in range(len(bp) - 1)]
+        left = 1 - sum(v * (b - a) for v, a, b in zip(vals, bp, bp[1:]))
+        if left < 0 or (left * 8).denominator != 1:
+            continue
+        a0 = F(r.randint(0, int(left * 8)), 8)
+        aT = F(r.randint(0, int((left - a0) * 8)), 8)
+        laws.append(step_law(T, bp, vals, atom0=a0, atomT=aT, atomInf=left - a0 - aT))
+    return laws
+
+
+# outside the hull by the forced-envelope argument
+FORCED_ENVELOPE_LAWS = (
+    step_law(1, [0, F(3, 4), 1], [F(4, 3), 0]),
+    step_law(1, [0, F(1, 4), 1], [0, F(4, 3)]),
+    step_law(1, [0, F(1, 2), F(3, 4), 1], [0, F(3, 2), 0], atom0=F(5, 8)),
+)
+
+
+class TestOneAtomCandidates:
+    @given(
+        integer_step_densities(max_cells=4, max_value=3),
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_member_split_has_member_vertices(self, f, shares):
+        # an ET law with its leftover mass split over the atoms is a mixture
+        # of the same density with all of that mass on each used atom, and
+        # each of those is ET too
+        m = 1 - integral(f, 0, f.T)
+        assume(m > 0 and sum(shares) > 0)
+        atoms = [m * s / sum(shares) for s in shares]
+        if not check_class(LocationLaw(f.T, f, *atoms), "ET").is_member:
+            return
+        for i, a in enumerate(atoms):
+            if a > 0:
+                vertex = [m if j == i else F(0) for j in range(3)]
+                assert check_class(LocationLaw(f.T, f, *vertex), "ET").is_member
+
+    def test_same_verdicts_as_lattice_family(self):
+        outcomes = {"member": 0, "non-member": 0, "unknown": 0}
+        for law in _small_step_laws(200, seed=20161) + list(FORCED_ENVELOPE_LAWS):
+            res = hull_membership_lp(law)
+            if _lattice_family_feasible(law):
+                assert isinstance(res, HullCertificate), law
+                outcomes["member"] += 1
+                continue
+            assert isinstance(res, MembershipReport), law
+            outcomes[res.verdict] += 1
+            forced = membership._forced_envelope_witness(law)
+            if forced is not None:
+                assert res == forced
+            else:
+                assert res.verdict == "unknown"
+                assert res.violated_conditions == ("no-certificate-in-family",)
+        assert all(outcomes.values()), outcomes
