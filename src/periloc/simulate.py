@@ -6,13 +6,15 @@ locator name, the evaluation is vectorized over numpy float arrays by the
 engine of the kind the locator routes to on the path. The engines take the
 shifts sorted ascending and cut them into index runs at the few shifts where
 a node or a hit interval enters or leaves the window; each run is then
-classified by slices against one node or one interval. The classification
-into atoms is decided by the window logic (which endpoint or hit wins) at
-exact rational cut points, not by floating-point equality against 0 or T, so
-it agrees with the exact locators: a hit at a window end and an exact tie of
-path values fall where the exact locator puts them. Any other callable, the
-bare functions of paths such as sup_location included, is evaluated exactly
-per shift, in rationals.
+classified by slices against one node or one interval. The classification into atoms is
+decided by the window logic (which endpoint or hit wins), not by
+floating-point equality against 0 or T, with two known exceptions. A first
+hit exactly at the window end, or a last hit exactly at the window start, is
+counted as an interior sample (at T or at 0) instead of an atom. And the sup
+engines compare path values in floats, so rounding can break an exact tie
+(between the window ends, or of a window end with a node value or with 1/2)
+the other way. Any other callable, the bare functions of paths such as
+sup_location included, is evaluated exactly per shift, in rationals.
 """
 
 from __future__ import annotations
@@ -82,15 +84,6 @@ class ComparisonReport:
 
 
 # --- node tables and vectorized locator cores ---
-#
-# The engines classify a shift by comparing it with exact rational cut points
-# (a node or hit position, less T or not, or the root of an affine test on a
-# path piece), each rounded once to a float. A shift array holds the roundings
-# of exact shifts (a Monte Carlo shift is its own exact value) and rounding is
-# monotone, so each float comparison agrees with the exact one, equality
-# included, unless a shift lies within an ulp of a cut point without equalling
-# it. The highest interior node is picked by float value, which ranks two node
-# values apart by less than an ulp as equal.
 
 
 def _float_tables(g: PiecewiseLinearPath):
@@ -102,76 +95,44 @@ def _float_tables(g: PiecewiseLinearPath):
     return tt, yy
 
 
-def _exact_pieces(g: PiecewiseLinearPath):
-    """The node positions and values of _float_tables as Fractions, and
-    (p, q) with g(t) = p + q t on each interval between consecutive nodes."""
-    t = [x for x, _ in g.nodes[:-1]]
-    y = [v for _, v in g.nodes[:-1]]
-    te, ye = t + [x + 1 for x in t] + [Fraction(2)], y + y + [y[0]]
-    qs = [(y1 - y0) / (t1 - t0) for t0, t1, y0, y1 in zip(te, te[1:], ye, ye[1:])]
-    return te, ye, [(y0 - q * t0, q) for t0, y0, q in zip(te, ye, qs)]
-
-
-def _side(u: np.ndarray, p: Fraction, q: Fraction, strict: bool) -> np.ndarray:
-    """Mask of the shifts with p + q u > 0 (strict) or >= 0, by one cut at
-    the exact root."""
-    if q == 0:
-        return np.full(len(u), p > 0 if strict else p >= 0)
-    c = float(-p / q)
-    if q > 0:
-        return u > c if strict else u >= c
-    return u < c if strict else u <= c
-
-
-def _sweep_sup(g, u: np.ndarray, T: Fraction, truncated: bool):
+def _sweep_sup(g, u: np.ndarray, T: float, truncated: bool):
     """Codes and values of the (truncated) sup locator; u sorted ascending.
 
     Node j lies strictly inside the windows of the shifts u[lo[j]:hi[j]], so
-    the cuts lo and hi split u into runs that share one set of interior nodes
-    and one path piece under each window end. Each run takes the highest of
-    those nodes (the first one on ties) and is then classified against the
-    affine path values at its window ends, by exact cuts.
+    the cuts lo and hi split u into runs that share one set of interior nodes.
+    Each run takes the highest of them (the first one on ties) and is then
+    classified against the path values at its window ends, slice by slice.
     """
     tt, yy = _float_tables(g)
-    te, ye, pieces = _exact_pieces(g)
-    tT = np.array([float(x - T) for x in te])
-    n, last = len(u), len(pieces) - 1
-    lo = np.searchsorted(u, tT, side="right")
+    n = len(u)
+    lo = np.searchsorted(u, tt - T, side="right")
     hi = np.searchsorted(u, tt, side="left")
     cuts = sorted({0, n, *lo.tolist(), *hi.tolist()})
-    half = Fraction(1, 2)
+    g_left = np.interp(u, tt, yy)
+    g_right = np.interp(u + T, tt, yy)
     codes = np.empty(n, dtype=np.int8)
     values = np.empty(n)
     for s, e in zip(cuts, cuts[1:]):
-        us = u[s:e]
-        # g(u) = pl + ql u and g(u + T) = pr + qr u over the run
-        pl, ql = pieces[min(int(np.searchsorted(tt, us[0], side="right")) - 1, last)]
-        pr, qr = pieces[min(int(np.searchsorted(tT, us[0], side="left")) - 1, last)]
-        pr += qr * T
-        left_wins = _side(us, pl - pr, ql - qr, strict=False)
         inside = np.flatnonzero((lo <= s) & (s < hi))
-        best, bestpos = None, 0.0
+        best, bestpos = -np.inf, 0.0
         if len(inside):
             j = inside[np.argmax(yy[inside])]
-            best, bestpos = ye[j], tt[j]
-            left_wins &= _side(us, pl - best, ql, strict=False)
-            right_wins = ~left_wins & _side(us, pr - best, qr, strict=True)
-        else:
-            right_wins = ~left_wins
+            best, bestpos = yy[j], tt[j]
+        gl, gr = g_left[s:e], g_right[s:e]
+        left_wins = gl >= np.maximum(best, gr)
+        right_wins = ~left_wins & (gr > best)
         run = codes[s:e]
         run[:] = _CODE_INTERIOR
         run[left_wins] = _CODE_ZERO
         run[right_wins] = _CODE_T
-        if truncated and (best is None or best < half):
-            run[_side(us, half - pl, -ql, strict=True) & _side(us, half - pr, -qr, strict=True)] = _CODE_INF
-        values[s:e] = bestpos - us
+        if truncated:
+            run[np.maximum(best, np.maximum(gl, gr)) < 0.5] = _CODE_INF
+        values[s:e] = bestpos - u[s:e]
     return codes, values
 
 
-def _hit_intervals(g: PiecewiseLinearPath, level: Fraction, T: Fraction):
-    """Merged intervals {t in [0, 2]: g(t) == level} (points as zero-width):
-    float arrays of their starts HL and ends HH and of HL - T and HH - T,
-    each rounded from its exact value."""
+def _hit_intervals(g: PiecewiseLinearPath, level: Fraction):
+    """Merged intervals {t in [0, 2]: g(t) == level} (points as zero-width)."""
     raw: list[tuple[Fraction, Fraction]] = []
     for k in (0, 1):
         for (t0, y0), (t1, y1) in zip(g.nodes, g.nodes[1:]):
@@ -194,64 +155,55 @@ def _hit_intervals(g: PiecewiseLinearPath, level: Fraction, T: Fraction):
             merged.append([lo, hi])
     HL = np.array([float(lo) for lo, _ in merged])
     HH = np.array([float(hi) for _, hi in merged])
-    HLT = np.array([float(lo - T) for lo, _ in merged])
-    HHT = np.array([float(hi - T) for _, hi in merged])
-    return HL, HH, HLT, HHT
+    return HL, HH
 
 
-def _sweep_first_hit(g, u: np.ndarray, T: Fraction, level: Fraction):
+def _sweep_first_hit(g, u: np.ndarray, T: float, level: Fraction):
     """Codes and values of first_hit; u sorted ascending.
 
     The shifts u[ends[k-1]:ends[k]] have the hit interval k as the first one
-    ending at or after u. Within that run the window misses the interval,
-    then ends at its start, then reaches past it, then starts inside it, so
-    four slices classify the run.
+    ending at or after u. Within that run the window misses the interval, then
+    reaches it, then starts inside it, so three slices classify the run.
     """
-    HL, HH, HLT, _ = _hit_intervals(g, level, T)
+    HL, HH = _hit_intervals(g, level)
     n = len(u)
     codes = np.full(n, _CODE_INF, dtype=np.int8)
     values = np.zeros(n)
     ends = np.searchsorted(u, HH, side="right")
-    reach = np.searchsorted(u, HLT, side="left")  # first u with HL <= u + T
-    past = np.searchsorted(u, HLT, side="right")  # first u with HL < u + T
+    reach = np.searchsorted(u + T, HL, side="left")  # first u with HL <= u + T
     inside = np.searchsorted(u, HL, side="left")  # first u with HL <= u
     a = 0
     for k, b in enumerate(ends.tolist()):
+        r = min(max(reach[k], a), b)
         z = min(max(inside[k], a), b)
-        p = min(max(past[k], a), z)
-        r = min(max(reach[k], a), p)
-        codes[r:p] = _CODE_T
-        codes[p:z] = _CODE_INTERIOR
-        values[p:z] = HL[k] - u[p:z]
+        codes[r:z] = _CODE_INTERIOR
+        values[r:z] = HL[k] - u[r:z]
         codes[z:b] = _CODE_ZERO
         a = b
     return codes, values
 
 
-def _sweep_last_hit(g, u: np.ndarray, T: Fraction, level: Fraction):
+def _sweep_last_hit(g, u: np.ndarray, T: float, level: Fraction):
     """Codes and values of last_hit; u sorted ascending.
 
     The shifts u[starts[k]:starts[k+1]] have the hit interval k as the last
     one starting by u + T. Within that run the window ends inside the
-    interval, then past it, then starts at its end, then starts past it, so
-    four slices classify it.
+    interval, then past it, then starts past it, so three slices classify it.
     """
-    HL, HH, HLT, HHT = _hit_intervals(g, level, T)
+    HL, HH = _hit_intervals(g, level)
     n = len(u)
     codes = np.full(n, _CODE_INF, dtype=np.int8)
     values = np.zeros(n)
-    starts = np.searchsorted(u, HLT, side="left")  # first u with HL <= u + T
-    inside = np.searchsorted(u, HHT, side="right")  # end of u with u + T <= HH
-    before = np.searchsorted(u, HH, side="left")  # end of u with u < HH
+    ub = u + T
+    starts = np.searchsorted(ub, HL, side="left")
+    inside = np.searchsorted(ub, HH, side="right")  # end of u with u + T <= HH
     reach = np.searchsorted(u, HH, side="right")  # end of u with u <= HH
     for k, (a, b) in enumerate(zip(starts.tolist(), starts[1:].tolist() + [n])):
         z = min(max(inside[k], a), b)
-        w = min(max(before[k], z), b)
-        r = min(max(reach[k], w), b)
+        r = min(max(reach[k], a), b)
         codes[a:z] = _CODE_T
-        codes[z:w] = _CODE_INTERIOR
-        values[z:w] = HH[k] - u[z:w]
-        codes[w:r] = _CODE_ZERO
+        codes[z:r] = _CODE_INTERIOR
+        values[z:r] = HH[k] - u[z:r]
     return codes, values
 
 
@@ -306,13 +258,13 @@ def _sample_law(
         locator = locator_by_name(locator)
     if not isinstance(locator, Locator):
         return _generic_eval(g, locator, T_rat, exact_shifts)
-    loc = locator.route(g)
+    loc, T = locator.route(g), float(T_rat)
     if loc.kind == "first-hit":
-        codes, values = _sweep_first_hit(g, u, T_rat, loc.level)
+        codes, values = _sweep_first_hit(g, u, T, loc.level)
     elif loc.kind == "last-hit":
-        codes, values = _sweep_last_hit(g, u, T_rat, loc.level)
+        codes, values = _sweep_last_hit(g, u, T, loc.level)
     else:
-        codes, values = _sweep_sup(g, u, T_rat, truncated=loc.kind == "truncated-sup")
+        codes, values = _sweep_sup(g, u, T, truncated=loc.kind == "truncated-sup")
     return _collect(T_rat, codes, values)
 
 
@@ -329,9 +281,10 @@ def sweep_law(
     require. A Locator or a locator name costs O(n + E log n + E^2) for its
     E node or hit events (a few per path node), plus one stable sort of the
     interior samples. Midpoints do not keep every shift off a classification
-    boundary (on an odd grid u = 1/2 is a shift); the engines decide such
-    shifts as the exact locators do (see the module docstring). Any other
-    callable is evaluated exactly at every shift.
+    boundary: on an odd grid u = 1/2 is a shift, and a hit that lies exactly
+    at a window end is misclassified, as is a sup tie that float rounding
+    breaks (see the module docstring). Any other callable is evaluated
+    exactly at every shift.
     """
     T_rat = as_rat(T)
     if grid_n < 1:
