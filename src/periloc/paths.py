@@ -2,14 +2,25 @@
 
 Locations are rationals; the distinguished value INFINITY (IEEE +inf, which
 compares correctly against any Fraction) marks "no location".
+
+Each path builds its exact tables once, on first use, and keeps them out of
+its fields (so ==, hash, repr and the JSON form do not see them): node times,
+node values and piece slopes over two periods, the min and max, and, per hit
+level, the merged hit intervals on [0, 1]. eval_path, first_hit and last_hit
+bisect into them in O(log n) for an n-node path, after O(n) for the node
+table and O(n) more for each hit level first asked about. sup_location and
+truncated_sup_location bisect to the window ends and compare the node values
+between them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import floor
-from typing import Iterator, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .density import Rational, as_rat
 
@@ -41,40 +52,69 @@ class PiecewiseLinearPath:
             raise ValueError("period seam mismatch: g(0) != g(1)")
 
     def min_value(self) -> Fraction:
-        return min(y for _, y in self.nodes)
+        return self._table.low
 
     def max_value(self) -> Fraction:
-        return max(y for _, y in self.nodes)
+        return self._table.high
 
-    def segments(self, a: Fraction, b: Fraction) -> Iterator[tuple[Fraction, Fraction, Fraction, Fraction]]:
-        """Clipped affine pieces (lo, hi, p, q) covering [a, b] in order:
-        g(t) = p + q t on [lo, hi]; pieces abut, lo of the first equals a."""
+    @cached_property
+    def _table(self) -> _NodeTable:
         nd = self.nodes
-        for k in range(floor(a), floor(b) + 1):
-            if k + 1 <= a or k >= b:
-                continue
-            for (t0, y0), (t1, y1) in zip(nd, nd[1:]):
-                lo, hi = t0 + k, t1 + k
-                if hi <= a or lo >= b:
-                    continue
-                q = (y1 - y0) / (t1 - t0)
-                p = y0 - q * lo
-                yield max(lo, a), min(hi, b), p, q
+        times = [t for t, _ in nd[:-1]]
+        values = [y for _, y in nd[:-1]]
+        slopes = [(y1 - y0) / (t1 - t0) for (t0, y0), (t1, y1) in zip(nd, nd[1:])]
+        return _NodeTable(times + [t + 1 for t in times], values * 2, slopes * 2, min(values), max(values))
+
+    @cached_property
+    def _hit_tables(self) -> dict[Fraction, tuple[list[Fraction], list[Fraction]]]:
+        return {}  # level -> hit_intervals(self, level), filled on demand
+
+
+class _NodeTable(NamedTuple):
+    """The nodes of two periods: node i sits at times[i] in [0, 2) with value
+    values[i], and g has slope slopes[i] from there to the next node."""
+
+    times: list[Fraction]
+    values: list[Fraction]
+    slopes: list[Fraction]
+    low: Fraction
+    high: Fraction
 
 
 def eval_path(g: PiecewiseLinearPath, t: Rational) -> Fraction:
     """g(t) for any rational t (reduced mod 1)."""
     t = as_rat(t) % 1
-    nd = g.nodes
-    lo, hi = 0, len(nd) - 2
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if nd[mid][0] <= t:
-            lo = mid
-        else:
-            hi = mid - 1
-    (t0, y0), (t1, y1) = nd[lo], nd[lo + 1]
-    return y0 + (y1 - y0) * (t - t0) / (t1 - t0)
+    times, values, slopes, _, _ = g._table
+    i = bisect_right(times, t) - 1
+    return values[i] + slopes[i] * (t - times[i])
+
+
+def hit_intervals(g: PiecewiseLinearPath, level: Rational) -> tuple[list[Fraction], list[Fraction]]:
+    """{t in [0, 1]: g(t) == level} as merged closed intervals, their starts
+    and their ends in order (a crossing is a zero-width interval). Built once
+    per path and level; callers must not modify the lists."""
+    tables = g._hit_tables
+    if level not in tables:
+        level = as_rat(level)
+        starts: list[Fraction] = []
+        ends: list[Fraction] = []
+        for (t0, y0), (t1, y1) in zip(g.nodes, g.nodes[1:]):
+            if y0 == level:
+                lo, hi = t0, t1 if y1 == level else t0
+            elif y1 == level:
+                lo = hi = t1
+            elif (y0 - level) * (y1 - level) < 0:
+                lo = hi = t0 + (level - y0) * (t1 - t0) / (y1 - y0)
+            else:
+                continue
+            # pieces come in order, so a hit can only touch the last interval
+            if ends and lo == ends[-1]:
+                ends[-1] = hi
+            else:
+                starts.append(lo)
+                ends.append(hi)
+        tables[level] = starts, ends
+    return tables[level]
 
 
 def shift(g: PiecewiseLinearPath, c: Rational) -> PiecewiseLinearPath:
@@ -93,59 +133,71 @@ def _check_window(a: Fraction, b: Fraction, max_len: Fraction | None = 1):
         raise ValueError(f"window [{a}, {b}] longer than one period")
 
 
-def sup_location(g: PiecewiseLinearPath, a: Rational, b: Rational) -> LocationResult:
-    """Leftmost maximizer of g on [a, b] (b - a <= 1). Never INFINITY."""
+def _sup(g: PiecewiseLinearPath, a: Rational, b: Rational) -> tuple[Fraction, Fraction]:
+    """(leftmost maximizer, max) of g on [a, b], b - a <= 1. The maximizer is
+    the first of a, the nodes strictly inside (a, b) and b to reach the max:
+    on each affine piece the max sits at an end."""
     a, b = as_rat(a), as_rat(b)
     _check_window(a, b)
-    best_val = None
-    best_pos = None
-    for lo, hi, p, q in g.segments(a, b):
-        if q > 0:
-            pos, val = hi, p + q * hi
-        else:
-            pos, val = lo, p + q * lo  # flat piece: leftmost point
-        if best_val is None or val > best_val:
-            best_val, best_pos = val, pos
-    return best_pos
+    times, values, slopes, _, _ = g._table
+    k = floor(a)
+    x, y = a - k, b - k  # 0 <= x < y <= x + 1 < 2
+    i = bisect_right(times, x)  # times[i - 1] <= x < times[i]
+    j = bisect_left(times, y)  # times[j - 1] < y <= times[j]
+    pos, val = a, values[i - 1] + slopes[i - 1] * (x - times[i - 1])
+    if i < j:
+        m = max(range(i, j), key=values.__getitem__)  # the first of the maxima
+        if values[m] > val:
+            pos, val = k + times[m], values[m]
+    right = values[j - 1] + slopes[j - 1] * (y - times[j - 1])
+    if right > val:
+        pos, val = b, right
+    return pos, val
+
+
+def sup_location(g: PiecewiseLinearPath, a: Rational, b: Rational) -> LocationResult:
+    """Leftmost maximizer of g on [a, b] (b - a <= 1). Never INFINITY."""
+    return _sup(g, a, b)[0]
 
 
 def truncated_sup_location(g: PiecewiseLinearPath, a: Rational, b: Rational) -> LocationResult:
     """Leftmost maximizer if the sup over [a, b] reaches 1/2, else INFINITY."""
-    pos = sup_location(g, a, b)
-    if eval_path(g, pos) >= Fraction(1, 2):
-        return pos
-    return INFINITY
+    pos, val = _sup(g, a, b)
+    return pos if val >= Fraction(1, 2) else INFINITY
 
 
 def first_hit(g: PiecewiseLinearPath, level: Rational, a: Rational, b: Rational) -> LocationResult:
     """Smallest t in [a, b] with g(t) == level, or INFINITY."""
     level, a, b = as_rat(level), as_rat(a), as_rat(b)
     _check_window(a, b, max_len=None)
-    for lo, hi, p, q in g.segments(a, b):
-        if q == 0:
-            if p == level:
-                return lo
-            continue
-        t = (level - p) / q
-        if lo <= t <= hi:
-            return t
-    return INFINITY
+    starts, ends = hit_intervals(g, level)
+    if not starts:
+        return INFINITY
+    k = floor(a)
+    x = a - k
+    j = bisect_left(ends, x)  # the first interval of period k that ends at or after a
+    if j == len(ends):
+        t = k + 1 + starts[0]
+    else:
+        t = a if starts[j] <= x else k + starts[j]
+    return t if t <= b else INFINITY
 
 
 def last_hit(g: PiecewiseLinearPath, level: Rational, a: Rational, b: Rational) -> LocationResult:
     """Largest t in [a, b] with g(t) == level, or INFINITY."""
     level, a, b = as_rat(level), as_rat(a), as_rat(b)
     _check_window(a, b, max_len=None)
-    found = INFINITY
-    for lo, hi, p, q in g.segments(a, b):
-        if q == 0:
-            if p == level:
-                found = hi
-            continue
-        t = (level - p) / q
-        if lo <= t <= hi:
-            found = t
-    return found
+    starts, ends = hit_intervals(g, level)
+    if not starts:
+        return INFINITY
+    k = floor(b)
+    y = b - k
+    j = bisect_right(starts, y) - 1  # the last interval of period k that starts at or before b
+    if j < 0:
+        t = k - 1 + ends[-1]
+    else:
+        t = b if ends[j] >= y else k + ends[j]
+    return t if t >= a else INFINITY
 
 
 def composite_location(g: PiecewiseLinearPath, a: Rational, b: Rational) -> LocationResult:

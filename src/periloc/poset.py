@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import floor
 from typing import Optional
 
@@ -48,7 +49,14 @@ class PointSystem:
             raise ValueError("ranks only make sense for explicit order")
 
     def rank(self, point: Fraction) -> int:
-        return self.explicit_order[self.points.index(point)]
+        try:
+            return self._ranks[point]
+        except KeyError:
+            raise ValueError(f"{point} is not a point of the system") from None
+
+    @cached_property
+    def _ranks(self) -> dict[Fraction, int]:
+        return dict(zip(self.points, self.explicit_order))
 
     def dominates_or_equal(self, r_base: Fraction, r_pos: Fraction, s_base: Fraction, s_pos: Fraction) -> bool:
         """r <= s in the order, for unrolled copies at positions r_pos, s_pos."""

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Union
 import numpy as np
 
 from .density import LocationLaw, Rational, as_rat, integral
-from .paths import INFINITY, Locator, PiecewiseLinearPath, locator_by_name
+from .paths import INFINITY, Locator, PiecewiseLinearPath, hit_intervals, locator_by_name
 
 _CODE_INTERIOR = 0
 _CODE_ZERO = 1
@@ -132,30 +132,15 @@ def _sweep_sup(g, u: np.ndarray, T: float, truncated: bool):
 
 
 def _hit_intervals(g: PiecewiseLinearPath, level: Fraction):
-    """Merged intervals {t in [0, 2]: g(t) == level} (points as zero-width)."""
-    raw: list[tuple[Fraction, Fraction]] = []
-    for k in (0, 1):
-        for (t0, y0), (t1, y1) in zip(g.nodes, g.nodes[1:]):
-            a, b = t0 + k, t1 + k
-            if y0 == level and y1 == level:
-                raw.append((a, b))
-            elif y0 == level:
-                raw.append((a, a))
-            elif y1 == level:
-                raw.append((b, b))
-            elif (y0 - level) * (y1 - level) < 0:
-                t = a + (level - y0) * (b - a) / (y1 - y0)
-                raw.append((t, t))
-    raw.sort()
-    merged: list[list[Fraction]] = []
-    for lo, hi in raw:
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    HL = np.array([float(lo) for lo, _ in merged])
-    HH = np.array([float(hi) for _, hi in merged])
-    return HL, HH
+    """Merged intervals {t in [0, 2]: g(t) == level} (points as zero-width),
+    from the path's exact hit intervals on [0, 1] and their copies one period
+    on; the ends are rounded from their exact values."""
+    starts, ends = hit_intervals(g, level)
+    lo = starts + [s + 1 for s in starts]
+    hi = ends + [e + 1 for e in ends]
+    if starts and ends[-1] == 1:  # g(0) == g(1) == level: the copies join at 1
+        del lo[len(starts)], hi[len(starts) - 1]
+    return np.array([float(x) for x in lo]), np.array([float(x) for x in hi])
 
 
 def _sweep_first_hit(g, u: np.ndarray, T: float, level: Fraction):

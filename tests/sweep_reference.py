@@ -2,8 +2,10 @@
 
 These are the engines as they were before the run-based rewrite: every shift
 is searched into the hit intervals, the sup engine takes one masked update
-over all shifts per node, and compare gathers per-sample cell data. The
-library must reproduce them byte for byte (tests/test_simulate.py).
+over all shifts per node, and compare gathers per-sample cell data. The hit
+intervals are merged here from every affine piece of two periods, apart from
+the path's own hit table. The library must reproduce them byte for byte
+(tests/test_simulate.py).
 """
 
 from __future__ import annotations
@@ -20,9 +22,34 @@ from periloc.simulate import (
     ComparisonReport,
     EmpiricalLaw,
     _float_tables,
-    _hit_intervals,
     _interior_cdf_table,
 )
+
+
+def hit_intervals(g, level):
+    raw = []
+    for k in (0, 1):
+        for (t0, y0), (t1, y1) in zip(g.nodes, g.nodes[1:]):
+            a, b = t0 + k, t1 + k
+            if y0 == level and y1 == level:
+                raw.append((a, b))
+            elif y0 == level:
+                raw.append((a, a))
+            elif y1 == level:
+                raw.append((b, b))
+            elif (y0 - level) * (y1 - level) < 0:
+                t = a + (level - y0) * (b - a) / (y1 - y0)
+                raw.append((t, t))
+    raw.sort()
+    merged = []
+    for lo, hi in raw:
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    HL = np.array([float(lo) for lo, _ in merged])
+    HH = np.array([float(hi) for _, hi in merged])
+    return HL, HH
 
 
 def sweep_sup(g, u, T, truncated):
@@ -56,7 +83,7 @@ def sweep_sup(g, u, T, truncated):
 
 
 def sweep_first_hit(g, u, T, level):
-    HL, HH = _hit_intervals(g, level)
+    HL, HH = hit_intervals(g, level)
     n = len(u)
     codes = np.full(n, _CODE_INF, dtype=np.int8)
     values = np.zeros(n)
@@ -75,7 +102,7 @@ def sweep_first_hit(g, u, T, level):
 
 
 def sweep_last_hit(g, u, T, level):
-    HL, HH = _hit_intervals(g, level)
+    HL, HH = hit_intervals(g, level)
     n = len(u)
     codes = np.full(n, _CODE_INF, dtype=np.int8)
     values = np.zeros(n)

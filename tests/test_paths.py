@@ -1,11 +1,15 @@
 """Path evaluation and the location functionals' defining properties."""
 
+import pickle
 from fractions import Fraction as F
+from math import ceil
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import locator_reference as ref
+from periloc.jsonio import dumps_canonical, path_to_obj
 from periloc.paths import (
     INFINITY,
     Locator,
@@ -13,6 +17,7 @@ from periloc.paths import (
     composite_location,
     eval_path,
     first_hit,
+    hit_intervals,
     last_hit,
     locator_by_name,
     shift,
@@ -273,3 +278,93 @@ class TestLocator:
         assert Locator("truncated-sup")(g, a, b) == truncated_sup_location(g, a, b)
         assert Locator("first-hit", F(1, 2))(g, a, b) == first_hit(g, F(1, 2), a, b)
         assert Locator("last-hit", -1)(g, a, b) == last_hit(g, -1, a, b)
+
+
+# --- the per-path tables against the piece scan ---
+
+# few values, so that flat pieces, equal maxima and hits at nodes are common
+tie_values = st.sampled_from([F(-2), F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(3, 2)])
+
+
+@st.composite
+def tie_paths(draw):
+    k = draw(st.integers(0, 7))
+    cuts = draw(st.lists(st.integers(1, 39), min_size=k, max_size=k, unique=True))
+    times = [F(0)] + [F(c, 40) for c in sorted(cuts)] + [F(1)]
+    y0 = draw(tie_values)
+    ys = [y0] + [draw(tie_values) for _ in range(k)] + [y0]
+    return PiecewiseLinearPath(tuple(zip(times, ys)))
+
+
+def same(x, y):
+    return x == y and type(x) is type(y)
+
+
+class TestTablesMatchPieceScan:
+    """The tabled locators against the piece scan of tests/locator_reference.py,
+    in value and in type."""
+
+    @given(tie_paths(), st.data())
+    @settings(max_examples=400)
+    def test_same_value_and_type(self, g, data):
+        node_times = [t for t, _ in g.nodes]
+        # window ends on a node of some period, on the 1/40 lattice or off it
+        end = st.one_of(
+            st.builds(lambda t, k: t + k, st.sampled_from(node_times), st.integers(-2, 2)),
+            st.integers(-80, 120).map(lambda n: F(n, 40)),
+            st.integers(-140, 210).map(lambda n: F(n, 70)),
+        )
+        a, b = sorted((data.draw(end), data.draw(end)))
+        assume(a < b)
+        a += max(0, ceil(b - a) - 3)  # hit windows up to three periods long
+        level = data.draw(st.one_of(st.sampled_from([y for _, y in g.nodes]), st.just(F(1, 2)), tie_values, rat_small))
+        assert same(first_hit(g, level, a, b), ref.first_hit(g, level, a, b))
+        assert same(last_hit(g, level, a, b), ref.last_hit(g, level, a, b))
+        if b - a <= 1:
+            assert same(sup_location(g, a, b), ref.sup_location(g, a, b))
+            assert same(truncated_sup_location(g, a, b), ref.truncated_sup_location(g, a, b))
+            assert same(composite_location(g, a, b), ref.composite_location(g, a, b))
+
+    def test_flat_max_and_flat_level(self):
+        plateau = PiecewiseLinearPath(
+            ((F(0), F(0)), (F(1, 4), F(1)), (F(1, 2), F(1)), (F(3, 4), F(1, 2)), (F(1), F(0)))
+        )
+        for a, b in ((F(3, 8), F(7, 8)), (F(1, 4), F(1, 2)), (F(-1, 2), F(1, 2)), (F(1, 2), F(3, 2))):
+            assert same(sup_location(plateau, a, b), ref.sup_location(plateau, a, b))
+        assert sup_location(plateau, F(3, 8), F(7, 8)) == F(3, 8)
+        assert first_hit(plateau, 1, F(3, 8), 3) == F(3, 8)
+        assert last_hit(plateau, 1, -3, F(3, 8)) == F(3, 8)
+        assert first_hit(plateau, 1, F(5, 8), F(21, 8)) == F(5, 4)
+        assert last_hit(plateau, 1, F(-5, 8), F(1, 8)) == F(-1, 2)
+        assert last_hit(plateau, 1, F(-1, 4), F(1, 8)) == INFINITY
+
+    def test_hit_intervals(self):
+        plateau = PiecewiseLinearPath(((F(0), F(1)), (F(1, 4), F(0)), (F(1, 2), F(0)), (F(1), F(1))))
+        assert hit_intervals(plateau, 0) == ([F(1, 4)], [F(1, 2)])
+        assert hit_intervals(plateau, F(1, 2)) == ([F(1, 8), F(3, 4)], [F(1, 8), F(3, 4)])
+        assert hit_intervals(plateau, 1) == ([F(0), F(1)], [F(0), F(1)])
+        assert hit_intervals(plateau, 2) == ([], [])
+
+
+def table_queries(g):
+    """Sup and hit queries at four levels, which fill the path's tables."""
+    out = []
+    for level in (F(-1), F(1, 2), F(1), F(3)):
+        out += [first_hit(g, level, -1, 2), last_hit(g, level, F(1, 3), F(4, 3))]
+    out += [sup_location(g, F(1, 3), F(4, 3)), truncated_sup_location(g, 0, F(1, 2))]
+    return out + [composite_location(g, 0, 1), eval_path(g, F(1, 3)), g.min_value(), g.max_value()]
+
+
+class TestTablesAreInvisible:
+    def test_used_path_equals_fresh_path(self):
+        nodes = ((F(0), F(-1)), (F(1, 5), F(1)), (F(2, 5), F(1)), (F(7, 10), F(-2)), (F(1), F(-1)))
+        used = PiecewiseLinearPath(nodes)
+        answers = table_queries(used)
+        fresh = PiecewiseLinearPath(nodes)
+        back = pickle.loads(pickle.dumps(used))
+        for other in (fresh, back):
+            assert used == other
+            assert hash(used) == hash(other)
+            assert repr(used) == repr(other)
+            assert dumps_canonical(path_to_obj(used)) == dumps_canonical(path_to_obj(other))
+        assert table_queries(back) == table_queries(fresh) == answers

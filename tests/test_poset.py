@@ -48,6 +48,12 @@ class TestPointSystem:
         with pytest.raises(ValueError):
             PointSystem((F(1, 2),), "first_time", (1,))  # stray ranks
 
+    def test_rank(self):
+        ps = PointSystem((F(1, 5), F(7, 10)), "explicit", (2, 1))
+        assert ps.rank(F(1, 5)) == 2 and ps.rank(F(7, 10)) == 1
+        with pytest.raises(ValueError):
+            ps.rank(F(1, 2))  # not a point of the system
+
 
 class TestReach:
     def test_single_point_first_time(self):

@@ -18,13 +18,14 @@ from periloc.paths import (
 )
 from periloc.simulate import (
     EmpiricalLaw,
+    _hit_intervals,
     _sorted_cdf,
     compare,
     mc_law,
     sweep_law,
 )
 
-from test_paths import TRIANGLE, paths, rat_small
+from test_paths import TRIANGLE, paths, rat_small, tie_paths, tie_values
 
 UNIFORM = step_law(1, (0, 1), (1,))
 
@@ -225,6 +226,14 @@ class TestEnginesMatchPerShiftReference:
     def test_sweep_law(self, case):
         g, name, T, n = case
         assert_same_bytes(sweep_law(g, name, T, n), ref.sweep_law(g, name, T, n))
+
+    @given(g=tie_paths(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_hit_intervals(self, g, data):
+        level = data.draw(st.sampled_from([y for _, y in g.nodes]) | tie_values | rat_small)
+        for got, want in zip(_hit_intervals(g, level), ref.hit_intervals(g, level)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
     @given(case=sweep_cases(), seed=st.integers(0, 2**32))
     @settings(max_examples=100, deadline=None)
