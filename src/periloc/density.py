@@ -6,6 +6,7 @@ boundary so that membership logic never depends on rounding.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -63,15 +64,7 @@ class PiecewiseDensity:
         """Index j (1-based) of the cell [x_{j-1}, x_j) containing t, 0 <= t < T."""
         if not 0 <= t < self.T:
             raise ValueError(f"t={t} outside [0, T)")
-        lo, hi = 0, self.k - 1
-        bp = self.breakpoints
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if bp[mid] <= t:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo + 1
+        return bisect_right(self.breakpoints, t)
 
     def value(self, t: Rational) -> Fraction:
         """f(t) for 0 <= t < T (cadlag value; value(0) is the right limit f(0+))."""
@@ -85,13 +78,16 @@ class PiecewiseDensity:
         t = as_rat(t)
         if not 0 < t <= self.T:
             raise ValueError(f"t={t} outside (0, T]")
-        bp = self.breakpoints
-        # cell whose half-open interval has t as an interior point or right end
-        j = self.k if t == self.T else self.cell_index(t)
-        if bp[j - 1] == t:
-            j -= 1
-        p, q = self.segments[j - 1]
+        # cell j with x_{j-1} < t <= x_j
+        p, q = self.segments[bisect_left(self.breakpoints, t) - 1]
         return p + q * t
+
+    def jumps(self) -> list[Fraction]:
+        """f(x_j) - f(x_j-) at each interior breakpoint x_j, j = 1..k-1."""
+        return [
+            (p1 - p0) + (q1 - q0) * x
+            for x, (p0, q0), (p1, q1) in zip(self.breakpoints[1:-1], self.segments, self.segments[1:])
+        ]
 
     def is_step(self) -> bool:
         return all(q == 0 for _, q in self.segments)
@@ -103,18 +99,12 @@ class PiecewiseDensity:
         """Non-increasing on (0, T): slopes <= 0 and no upward jumps."""
         if any(q > 0 for _, q in self.segments):
             return False
-        for j in range(1, self.k):
-            x = self.breakpoints[j]
-            if self.value(x) > self.left_limit(x):
-                return False
-        return True
+        return all(jump <= 0 for jump in self.jumps())
 
     def is_convex(self) -> bool:
         """Convex on (0, T): continuous at interior breakpoints, slopes non-decreasing."""
-        for j in range(1, self.k):
-            x = self.breakpoints[j]
-            if self.value(x) != self.left_limit(x):
-                return False
+        if any(self.jumps()):
+            return False
         slopes = [q for _, q in self.segments]
         return all(a <= b for a, b in zip(slopes, slopes[1:]))
 
@@ -185,10 +175,9 @@ def _tv_open(f: PiecewiseDensity, t1: Fraction, t2: Fraction) -> Fraction:
         lo, hi = max(a, t1), min(b, t2)
         if lo < hi and q != 0:
             tv += abs(q) * (hi - lo)
-    for j in range(1, f.k):
-        x = f.breakpoints[j]
+    for x, jump in zip(f.breakpoints[1:], f.jumps()):
         if t1 < x < t2:
-            tv += abs(f.value(x) - f.left_limit(x))
+            tv += abs(jump)
     return tv
 
 

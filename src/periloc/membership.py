@@ -80,15 +80,9 @@ def _tv_prefixes(f: PiecewiseDensity):
     for (a, b), (_, q) in zip(zip(f.breakpoints, f.breakpoints[1:]), f.segments):
         S.append(S[-1] + abs(q) * (b - a))
     J = [Fraction(0)]
-    for j in range(1, f.k):
-        x = f.breakpoints[j]
-        J.append(J[-1] + abs(f.value(x) - f.left_limit(x)))
+    for jump in f.jumps():
+        J.append(J[-1] + abs(jump))
     return S, J
-
-
-def _tv_between_cells(f: PiecewiseDensity, i: int, j: int, S, J) -> Fraction:
-    """TV over (x_{i-1}, x_j) open, 1 <= i <= j <= k: cells i..j plus interior jumps."""
-    return (S[j] - S[i - 1]) + (J[j - 1] - J[i - 1])
 
 
 def _witness_points(f: PiecewiseDensity, i: int, j: int, slack: Fraction):
@@ -149,8 +143,9 @@ def check_tv_prime(f: PiecewiseDensity) -> MembershipReport:
     iff it holds in the limit t -> 0+.
     """
     S, J = _tv_prefixes(f)
-    tv_full = _tv_between_cells(f, 1, f.k, S, J)
-    margin = f.value(0) + f.left_limit(f.T) - tv_full
+    tv_full = S[f.k] + J[f.k - 1]  # cells 1..k plus the jumps between them
+    (p_first, _), (p_last, q_last) = f.segments[0], f.segments[-1]
+    margin = p_first + (p_last + q_last * f.T) - tv_full  # f(0+) + f(T-) - TV over (0, T)
     if margin < 0:
         # any small enough t violates; pick one inside the first/last cells
         t_max = min(f.breakpoints[1], f.T - f.breakpoints[-2], f.T / 2)

@@ -1,12 +1,20 @@
-"""Finite partially-ordered point systems: exact reach distances, window
-maxima, the counting-formula density, and an exact sweep oracle."""
+"""Finite ordered point systems: exact reach distances, window maxima, the
+counting-formula density, and an exact sweep oracle.
+
+Each of the three order kinds is a total preorder given by one key per
+periodic copy (`PointSystem.key`): copy r lies below copy s exactly when r is
+not s and key(r) < key(s). Two different copies share a key only in the
+explicit order, and then they are copies of one point, which are
+incomparable.
+"""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import floor
+from math import ceil
 from typing import Optional
 
 from .density import LocationLaw, Rational, as_rat, span_density
@@ -58,17 +66,14 @@ class PointSystem:
     def _ranks(self) -> dict[Fraction, int]:
         return dict(zip(self.points, self.explicit_order))
 
-    def dominates_or_equal(self, r_base: Fraction, r_pos: Fraction, s_base: Fraction, s_pos: Fraction) -> bool:
-        """r <= s in the order, for unrolled copies at positions r_pos, s_pos."""
-        if r_pos == s_pos and r_base == s_base:
-            return True
+    def key(self, base: Fraction, pos: Fraction) -> Fraction | int:
+        """Order key of the periodic copy of point `base` at position `pos`:
+        a higher key is higher in the order."""
         if self.order_kind == "first_time":
-            return s_pos <= r_pos
+            return -pos
         if self.order_kind == "last_time":
-            return r_pos <= s_pos
-        if r_base == s_base:
-            return False  # periodic copies are incomparable
-        return self.rank(r_base) < self.rank(s_base)
+            return pos
+        return self.rank(base)
 
 
 @dataclass(frozen=True)
@@ -80,39 +85,34 @@ class Reach:
     b: LocationResult  # rightward
 
 
-def _unrolled(ps: PointSystem, lo: Fraction, hi: Fraction):
-    """(base, position) for every periodic copy with lo <= position <= hi."""
-    out = []
-    for base in ps.points:
-        k = floor(lo - base)
-        pos = base + k
-        while pos <= hi:
-            if pos >= lo:
-                out.append((base, pos))
-            pos += 1
-    out.sort(key=lambda bp: bp[1])
-    return out
-
-
 def reach(ps: PointSystem, s: Rational) -> Reach:
-    """Scan unrolled neighbors within two periods on each side of s."""
+    """Distance from s to the nearest copy on each side whose key is at least
+    s's, or INFINITY.
+
+    Each side scans the other points nearest first, then the copy of s one
+    period away; that is far enough. In the explicit order the copies of s at
+    s - 1 and s + 1 have s's key and block. In the first-time order every
+    earlier copy is above s and no later one is; the last-time order is the
+    mirror.
+    """
     s = as_rat(s)
-    if s not in ps.points:
+    pts = ps.points
+    n = len(pts)
+    i = bisect_left(pts, s)
+    if i == n or pts[i] != s:
         raise ValueError(f"{s} is not a point of the system")
-    a: LocationResult = INFINITY
-    b: LocationResult = INFINITY
-    for base, pos in _unrolled(ps, s - 2, s + 2):
-        if pos == s and base == s:
-            continue
-        if ps.dominates_or_equal(base, pos, s, s):
-            continue  # r <= s: not a blocker
-        if pos < s:
-            a = min(a, s - pos)
-        elif pos > s:
-            b = min(b, pos - s)
-        else:  # same position can only be the point itself
-            raise AssertionError("distinct points cannot share a position")
-    return Reach(a, b)
+    top = ps.key(s, s)
+    sides: list[LocationResult] = []
+    for step in (-1, 1):
+        dist: LocationResult = INFINITY
+        for j in range(1, n + 1):
+            q, r = divmod(i + step * j, n)
+            pos = pts[r] + q
+            if ps.key(pts[r], pos) >= top:
+                dist = abs(pos - s)
+                break
+        sides.append(dist)
+    return Reach(*sides)
 
 
 def poset_location(ps: PointSystem, a: Rational, b: Rational) -> LocationResult:
@@ -122,20 +122,22 @@ def poset_location(ps: PointSystem, a: Rational, b: Rational) -> LocationResult:
     a, b = as_rat(a), as_rat(b)
     if a >= b or b - a > 1:
         raise ValueError("need a < b with b - a <= 1")
-    present = _unrolled(ps, a, b)
-    if not present:
-        return INFINITY
-    maximal = [
-        (rb, rp)
-        for rb, rp in present
-        if not any(
-            (rb, rp) != (sb, sp) and ps.dominates_or_equal(rb, rp, sb, sp)
-            for sb, sp in present
-        )
-    ]
-    if len(maximal) != 1:
-        raise ValueError(f"order admits {len(maximal)} maximal elements on [{a}, {b}]")
-    return maximal[0][1]
+    best: LocationResult = INFINITY
+    best_key = None
+    tied = False
+    for base in ps.points:
+        # b - a <= 1: at most two copies of a point lie in [a, b]
+        pos = base + ceil(a - base)
+        while pos <= b:
+            k = ps.key(base, pos)
+            if best_key is None or k > best_key:
+                best, best_key, tied = pos, k, False
+            elif k == best_key:
+                tied = True
+            pos += 1
+    if tied:
+        raise ValueError(f"order admits 2 maximal elements on [{a}, {b}]")
+    return best
 
 
 # --- the counting-formula density and the exact sweep oracle ---

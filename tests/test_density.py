@@ -58,6 +58,25 @@ def integer_step_densities(draw, max_cells=8, max_value=4):
     return make_step_density(bp, vals)
 
 
+@st.composite
+def piecewise_densities(draw, max_cells=6):
+    """Sloped cells with end values in quarters; each breakpoint is a jump or
+    continuous at random."""
+    T = draw(st.sampled_from([F(3, 10), F(1, 2), F(1)]))
+    k = draw(st.integers(1, max_cells))
+    cuts = draw(st.lists(st.integers(1, 39), min_size=k - 1, max_size=k - 1, unique=True))
+    bp = [F(0)] + [T * c / 40 for c in sorted(cuts)] + [T]
+    quarter = st.integers(0, 12).map(lambda n: F(n, 4))
+    segs = []
+    left = draw(quarter)
+    for a, b in zip(bp, bp[1:]):
+        right = draw(quarter)
+        q = (right - left) / (b - a)
+        segs.append((left - q * a, q))
+        left = right if draw(st.booleans()) else draw(quarter)
+    return PiecewiseDensity(tuple(bp), tuple(segs))
+
+
 def oracle_tv(f, t1, t2, probes_per_cell=3):
     """Partition-sum total variation over (t1, t2).
 
@@ -137,6 +156,15 @@ class TestPiecewiseDensity:
         assert not down.is_convex()  # jump breaks continuity
         kink = PiecewiseDensity((F(0), F(1, 2), F(1)), ((F(2), F(-3)), (F(1), F(-1))))
         assert kink.is_convex()
+
+    @given(piecewise_densities())
+    @settings(max_examples=200)
+    def test_jumps_match_value_minus_left_limit(self, f):
+        jumps = f.jumps()
+        assert len(jumps) == f.k - 1
+        for j in range(1, f.k):
+            x = f.breakpoints[j]
+            assert jumps[j - 1] == f.value(x) - f.left_limit(x)
 
 
 # --- total variation ---

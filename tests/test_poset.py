@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import poset_reference as ref
 from periloc.paths import INFINITY
 from periloc.poset import PointSystem, Reach, counting_density, poset_location, reach, sweep_oracle
 
@@ -22,10 +23,10 @@ def laws_agree(a, b):
 
 
 @st.composite
-def point_systems(draw, max_points=6):
-    n = draw(st.integers(0, max_points))
-    nums = draw(st.lists(st.integers(0, 39), min_size=n, max_size=n, unique=True))
-    points = tuple(F(c, 40) for c in sorted(nums))
+def point_systems(draw, max_points=6, den=40):
+    n = draw(st.integers(0, min(max_points, den)))
+    nums = draw(st.lists(st.integers(0, den - 1), min_size=n, max_size=n, unique=True))
+    points = tuple(F(c, den) for c in sorted(nums))
     kind = draw(st.sampled_from(["first_time", "last_time", "explicit"]))
     if kind == "explicit":
         ranks = tuple(draw(st.permutations(range(n))))
@@ -80,9 +81,11 @@ class TestReach:
         assert reach(ps, F(7, 10)) == Reach(F(1, 2), F(1, 2))
 
     def test_unknown_point_rejected(self):
-        ps = PointSystem((F(1, 5),), "first_time")
-        with pytest.raises(ValueError):
-            reach(ps, F(1, 3))
+        ps = PointSystem((F(1, 5), F(3, 5)), "first_time")
+        # before, between and after the points, and a periodic copy of one
+        for s in (F(0), F(1, 3), F(4, 5), F(6, 5)):
+            with pytest.raises(ValueError, match="is not a point of the system"):
+                reach(ps, s)
 
     @given(point_systems())
     @settings(max_examples=150)
@@ -167,3 +170,54 @@ class TestCountingDensity:
             return
         law = counting_density(ps, T)
         assert law.density.is_decreasing()
+
+
+def same(x, y):
+    return x == y and type(x) is type(y)
+
+
+def outcome(locate, ps, a, b):
+    try:
+        return locate(ps, a, b)
+    except ValueError as err:
+        return str(err)
+
+
+class TestKeyMatchesPartialOrder:
+    """reach and poset_location against the partial-order scan of
+    tests/poset_reference.py, in value, in type and in error text."""
+
+    @given(st.sampled_from([7, 10, 40, 120]), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_same_reach_and_window_maximum(self, den, data):
+        ps = data.draw(point_systems(max_points=8, den=den))
+        for s in ps.points:
+            mine, theirs = reach(ps, s), ref.reach(ps, s)
+            assert same(mine.a, theirs.a) and same(mine.b, theirs.b)
+        # window ends on a point of some period, on the points' lattice or off it
+        ends = [
+            st.integers(-2 * den, 2 * den).map(lambda n: F(n, den)),
+            st.integers(-140, 140).map(lambda n: F(n, 70)),
+        ]
+        if ps.points:
+            ends.append(st.builds(lambda t, k: t + k, st.sampled_from(ps.points), st.integers(-2, 1)))
+        lengths = st.one_of(
+            st.just(F(1)),
+            st.integers(1, den).map(lambda n: F(n, den)),
+            st.just(F(1, 2 * den)),
+        )
+        for _ in range(10):
+            a = data.draw(st.one_of(ends))
+            b = a + data.draw(lengths)
+            assert same(outcome(poset_location, ps, a, b), outcome(ref.poset_location, ps, a, b))
+
+    @pytest.mark.parametrize("kind", ["first_time", "last_time", "explicit"])
+    def test_unit_windows_with_the_top_point_at_both_ends(self, kind):
+        points = (F(1, 10), F(2, 5), F(4, 5))
+        ps = PointSystem(points, kind, (1, 3, 2) if kind == "explicit" else None)
+        for p in points:
+            for a in (p - 2, p - 1, p, p + 1):
+                assert same(outcome(poset_location, ps, a, a + 1), outcome(ref.poset_location, ps, a, a + 1))
+        # the explicit top point 2/5 sits at both ends: its two copies tie
+        if kind == "explicit":
+            assert outcome(poset_location, ps, F(-3, 5), F(2, 5)) == "order admits 2 maximal elements on [-3/5, 2/5]"
