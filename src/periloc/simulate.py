@@ -6,17 +6,15 @@ locator name, the evaluation is vectorized over numpy float arrays by the
 engine of the kind the locator routes to on the path. The engines take the
 shifts sorted ascending and cut them into index runs at the few shifts where
 a node or a hit interval enters or leaves the window; each run is then
-classified by slices against one node or one interval. The classification
-into atoms agrees with the exact locators at the exact shifts, boundary
-shifts included: the hit engines compare each shift with the hit positions,
-and with the hit positions less T, each rounded once from its exact value,
-so a hit exactly at a window end is an atom (a float shift within an ulp of
-such a cut, but not on it, can still fall on the wrong side); the sup
-engines compare path values in floats and evaluate exactly the few shifts
-where rounding could break a tie (between the window ends, or of a window
-end with a node value or with 1/2). Any other callable, the bare functions
-of paths such as sup_location included, is evaluated exactly per shift, in
-rationals.
+classified by slices against one node or one interval. The classification into atoms is
+decided by the window logic (which endpoint or hit wins), not by
+floating-point equality against 0 or T, with two known exceptions. A first
+hit exactly at the window end, or a last hit exactly at the window start, is
+counted as an interior sample (at T or at 0) instead of an atom. And the sup
+engines compare path values in floats, so rounding can break an exact tie
+(between the window ends, or of a window end with a node value or with 1/2)
+the other way. Any other callable, the bare functions of paths such as
+sup_location included, is evaluated exactly per shift, in rationals.
 """
 
 from __future__ import annotations
@@ -97,24 +95,14 @@ def _float_tables(g: PiecewiseLinearPath):
     return tt, yy
 
 
-def _sweep_sup(g, u: np.ndarray, T_rat: Fraction, loc: Locator, exact_shift: Callable[[int], Fraction]):
-    """Codes and values of the (truncated) sup locator loc; u sorted ascending.
+def _sweep_sup(g, u: np.ndarray, T: float, truncated: bool):
+    """Codes and values of the (truncated) sup locator; u sorted ascending.
 
     Node j lies strictly inside the windows of the shifts u[lo[j]:hi[j]], so
-    the cuts lo and hi split u into runs that share one set of interior nodes
-    and one path piece under each window end. Each run takes the highest of
-    those nodes (the first one on ties) and is then classified against the
-    path values at its window ends, slice by slice, in floats.
-
-    Rounding can break an exact tie of two compared values (the window ends,
-    the best node, or 1/2) the wrong way. Within a run each compared
-    difference is affine in u, and on a flat piece its floats are exact, so a
-    shift that rounding misclassifies lies at a run end or next to a change of
-    code. Those shifts whose compared values are within rounding of each other
-    are evaluated exactly, at exact_shift(i), by loc.
+    the cuts lo and hi split u into runs that share one set of interior nodes.
+    Each run takes the highest of them (the first one on ties) and is then
+    classified against the path values at its window ends, slice by slice.
     """
-    truncated = loc.kind == "truncated-sup"
-    T = float(T_rat)
     tt, yy = _float_tables(g)
     n = len(u)
     lo = np.searchsorted(u, tt - T, side="right")
@@ -124,14 +112,12 @@ def _sweep_sup(g, u: np.ndarray, T_rat: Fraction, loc: Locator, exact_shift: Cal
     g_right = np.interp(u + T, tt, yy)
     codes = np.empty(n, dtype=np.int8)
     values = np.empty(n)
-    run_best = np.empty(len(cuts) - 1)
-    for r, (s, e) in enumerate(zip(cuts, cuts[1:])):
+    for s, e in zip(cuts, cuts[1:]):
         inside = np.flatnonzero((lo <= s) & (s < hi))
         best, bestpos = -np.inf, 0.0
         if len(inside):
             j = inside[np.argmax(yy[inside])]
             best, bestpos = yy[j], tt[j]
-        run_best[r] = best
         gl, gr = g_left[s:e], g_right[s:e]
         left_wins = gl >= np.maximum(best, gr)
         right_wins = ~left_wins & (gr > best)
@@ -142,90 +128,67 @@ def _sweep_sup(g, u: np.ndarray, T_rat: Fraction, loc: Locator, exact_shift: Cal
         if truncated:
             run[np.maximum(best, np.maximum(gl, gr)) < 0.5] = _CODE_INF
         values[s:e] = bestpos - u[s:e]
-    bounds = np.array(cuts)
-    flips = np.flatnonzero(codes[1:] != codes[:-1])
-    near = np.concatenate([bounds[:-1], bounds[1:] - 1, flips, flips + 1])
-    best = run_best[np.searchsorted(bounds, near, side="right") - 1]
-    gl, gr = g_left[near], g_right[near]
-    top = np.maximum(best, np.maximum(gl, gr))
-    tol = 1e-9 * (1.0 + np.abs(top))
-    tie = (np.abs(gl - gr) <= tol) | (np.abs(gl - best) <= tol) | (np.abs(gr - best) <= tol)
-    if truncated:
-        tie |= np.abs(top - 0.5) <= tol
-    for i in set(near[tie].tolist()):
-        x = exact_shift(i)
-        codes[i] = _exact_code(loc(g, x, x + T_rat), x, T_rat)
     return codes, values
 
 
-def _hit_intervals(g: PiecewiseLinearPath, level: Fraction, shift: Rational = 0):
+def _hit_intervals(g: PiecewiseLinearPath, level: Fraction):
     """Merged intervals {t in [0, 2]: g(t) == level} (points as zero-width),
     from the path's exact hit intervals on [0, 1] and their copies one period
-    on: float arrays of their starts and ends less shift, each rounded once
-    from its exact value."""
+    on; the ends are rounded from their exact values."""
     starts, ends = hit_intervals(g, level)
     lo = starts + [s + 1 for s in starts]
     hi = ends + [e + 1 for e in ends]
     if starts and ends[-1] == 1:  # g(0) == g(1) == level: the copies join at 1
         del lo[len(starts)], hi[len(starts) - 1]
-    return np.array([float(x - shift) for x in lo]), np.array([float(x - shift) for x in hi])
+    return np.array([float(x) for x in lo]), np.array([float(x) for x in hi])
 
 
-def _sweep_first_hit(g, u: np.ndarray, T: Fraction, level: Fraction):
+def _sweep_first_hit(g, u: np.ndarray, T: float, level: Fraction):
     """Codes and values of first_hit; u sorted ascending.
 
     The shifts u[ends[k-1]:ends[k]] have the hit interval k as the first one
-    ending at or after u. Within that run the window misses the interval,
-    then ends at its start, then reaches past it, then starts inside it, so
-    four slices classify the run.
+    ending at or after u. Within that run the window misses the interval, then
+    reaches it, then starts inside it, so three slices classify the run.
     """
     HL, HH = _hit_intervals(g, level)
-    HLT, _ = _hit_intervals(g, level, T)
     n = len(u)
     codes = np.full(n, _CODE_INF, dtype=np.int8)
     values = np.zeros(n)
     ends = np.searchsorted(u, HH, side="right")
-    reach = np.searchsorted(u, HLT, side="left")  # first u with HL <= u + T
-    past = np.searchsorted(u, HLT, side="right")  # first u with HL < u + T
+    reach = np.searchsorted(u + T, HL, side="left")  # first u with HL <= u + T
     inside = np.searchsorted(u, HL, side="left")  # first u with HL <= u
     a = 0
     for k, b in enumerate(ends.tolist()):
+        r = min(max(reach[k], a), b)
         z = min(max(inside[k], a), b)
-        p = min(max(past[k], a), z)
-        r = min(max(reach[k], a), p)
-        codes[r:p] = _CODE_T
-        codes[p:z] = _CODE_INTERIOR
-        values[p:z] = HL[k] - u[p:z]
+        codes[r:z] = _CODE_INTERIOR
+        values[r:z] = HL[k] - u[r:z]
         codes[z:b] = _CODE_ZERO
         a = b
     return codes, values
 
 
-def _sweep_last_hit(g, u: np.ndarray, T: Fraction, level: Fraction):
+def _sweep_last_hit(g, u: np.ndarray, T: float, level: Fraction):
     """Codes and values of last_hit; u sorted ascending.
 
     The shifts u[starts[k]:starts[k+1]] have the hit interval k as the last
     one starting by u + T. Within that run the window ends inside the
-    interval, then past it, then starts at its end, then starts past it, so
-    four slices classify it.
+    interval, then past it, then starts past it, so three slices classify it.
     """
-    _, HH = _hit_intervals(g, level)
-    HLT, HHT = _hit_intervals(g, level, T)
+    HL, HH = _hit_intervals(g, level)
     n = len(u)
     codes = np.full(n, _CODE_INF, dtype=np.int8)
     values = np.zeros(n)
-    starts = np.searchsorted(u, HLT, side="left")  # first u with HL <= u + T
-    inside = np.searchsorted(u, HHT, side="right")  # end of u with u + T <= HH
-    before = np.searchsorted(u, HH, side="left")  # end of u with u < HH
+    ub = u + T
+    starts = np.searchsorted(ub, HL, side="left")
+    inside = np.searchsorted(ub, HH, side="right")  # end of u with u + T <= HH
     reach = np.searchsorted(u, HH, side="right")  # end of u with u <= HH
     for k, (a, b) in enumerate(zip(starts.tolist(), starts[1:].tolist() + [n])):
         z = min(max(inside[k], a), b)
-        w = min(max(before[k], z), b)
-        r = min(max(reach[k], w), b)
+        r = min(max(reach[k], a), b)
         codes[a:z] = _CODE_T
-        codes[z:w] = _CODE_INTERIOR
-        values[z:w] = HH[k] - u[z:w]
-        codes[w:r] = _CODE_ZERO
+        codes[z:r] = _CODE_INTERIOR
+        values[z:r] = HH[k] - u[z:r]
     return codes, values
 
 
@@ -243,22 +206,25 @@ def _collect(T_rat: Fraction, codes: np.ndarray, values: np.ndarray) -> Empirica
     )
 
 
-def _exact_code(out, u: Fraction, T: Fraction) -> int:
-    """Code of the exact location out of the window [u, u + T]."""
-    if out == INFINITY:
-        return _CODE_INF
-    lam = out - u
-    return _CODE_ZERO if lam == 0 else _CODE_T if lam == T else _CODE_INTERIOR
-
-
 def _generic_eval(g, locator: Callable, T: Fraction, shifts: Iterable[Fraction]) -> EmpiricalLaw:
     codes = []
     values = []
     for u in shifts:
         out = locator(g, u, u + T)
-        code = _exact_code(out, u, T)
-        codes.append(code)
-        values.append(float(out - u) if code == _CODE_INTERIOR else 0.0)
+        if out == INFINITY:
+            codes.append(_CODE_INF)
+            values.append(0.0)
+            continue
+        lam = out - u
+        if lam == 0:
+            codes.append(_CODE_ZERO)
+            values.append(0.0)
+        elif lam == T:
+            codes.append(_CODE_T)
+            values.append(0.0)
+        else:
+            codes.append(_CODE_INTERIOR)
+            values.append(float(lam))
     return _collect(T, np.array(codes, dtype=np.int8), np.array(values))
 
 
@@ -267,23 +233,23 @@ def _sample_law(
     locator: Union[str, Callable],
     T_rat: Fraction,
     u: np.ndarray,
-    exact_shift: Callable[[int], Fraction],
+    exact_shifts: Iterable[Fraction],
 ) -> EmpiricalLaw:
-    """Law of the locator over the shifts u (sorted ascending); exact_shift(i)
-    is the shift u[i] as a rational. A Locator, or its name, runs the
-    vectorized engine of the kind it routes to on g; any other callable is
-    evaluated exactly at every exact shift."""
+    """Law of the locator over the shifts u (sorted ascending). A Locator, or
+    its name, runs the vectorized engine of the kind it routes to on g; any
+    other callable is evaluated exactly at exact_shifts, the shifts u as
+    rationals."""
     if isinstance(locator, str):
         locator = locator_by_name(locator)
     if not isinstance(locator, Locator):
-        return _generic_eval(g, locator, T_rat, map(exact_shift, range(len(u))))
-    loc = locator.route(g)
+        return _generic_eval(g, locator, T_rat, exact_shifts)
+    loc, T = locator.route(g), float(T_rat)
     if loc.kind == "first-hit":
-        codes, values = _sweep_first_hit(g, u, T_rat, loc.level)
+        codes, values = _sweep_first_hit(g, u, T, loc.level)
     elif loc.kind == "last-hit":
-        codes, values = _sweep_last_hit(g, u, T_rat, loc.level)
+        codes, values = _sweep_last_hit(g, u, T, loc.level)
     else:
-        codes, values = _sweep_sup(g, u, T_rat, loc, exact_shift)
+        codes, values = _sweep_sup(g, u, T, truncated=loc.kind == "truncated-sup")
     return _collect(T_rat, codes, values)
 
 
@@ -300,15 +266,17 @@ def sweep_law(
     require. A Locator or a locator name costs O(n + E log n + E^2) for its
     E node or hit events (a few per path node), plus one stable sort of the
     interior samples. Midpoints do not keep every shift off a classification
-    boundary (on an odd grid u = 1/2 is a shift); the engines classify such
-    shifts as the exact locators do (see the module docstring). Any other
-    callable is evaluated exactly at every shift.
+    boundary: on an odd grid u = 1/2 is a shift, and a hit that lies exactly
+    at a window end is misclassified, as is a sup tie that float rounding
+    breaks (see the module docstring). Any other callable is evaluated
+    exactly at every shift.
     """
     T_rat = as_rat(T)
     if grid_n < 1:
         raise ValueError("grid_n must be >= 1")
     u = (np.arange(grid_n) + 0.5) / grid_n
-    return _sample_law(g, locator, T_rat, u, lambda i: Fraction(2 * i + 1, 2 * grid_n))
+    shifts = (Fraction(2 * i + 1, 2 * grid_n) for i in range(grid_n))
+    return _sample_law(g, locator, T_rat, u, shifts)
 
 
 def mc_law(
@@ -329,7 +297,8 @@ def mc_law(
         raise ValueError("n must be >= 1")
     rng = np.random.Generator(np.random.Philox(seed))
     u = np.sort(rng.random(n))
-    return _sample_law(g, locator, T_rat, u, lambda i: Fraction(u[i]).limit_denominator(10**12))
+    shifts = (Fraction(x).limit_denominator(10**12) for x in u)
+    return _sample_law(g, locator, T_rat, u, shifts)
 
 
 # --- comparison against a target law ---

@@ -1,13 +1,10 @@
-"""Per-shift references for the vectorized sweep engines and for compare.
+"""Per-shift reference copies of the vectorized sweep engines and of compare.
 
-Each shift is classified by the exact locator of paths at its exact value:
-the rational midpoint of the sweep grid, or the rational that mc_law gives a
-Monte Carlo float. The interior samples take the float formulas of the
-engines as they were before the run-based rewrite: every shift is searched
-into the hit intervals, and the sup engine takes one masked update over all
-shifts per node. The hit intervals are merged here from every affine piece
-of two periods, apart from the path's own hit table. compare gathers
-per-sample cell data. The library must reproduce them byte for byte
+These are the engines as they were before the run-based rewrite: every shift
+is searched into the hit intervals, the sup engine takes one masked update
+over all shifts per node, and compare gathers per-sample cell data. The hit
+intervals are merged here from every affine piece of two periods, apart from
+the path's own hit table. The library must reproduce them byte for byte
 (tests/test_simulate.py).
 """
 
@@ -17,7 +14,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from periloc.paths import INFINITY, locator_by_name
 from periloc.simulate import (
     _CODE_INF,
     _CODE_INTERIOR,
@@ -56,7 +52,7 @@ def hit_intervals(g, level):
     return HL, HH
 
 
-def sup_values(g, u, T):
+def sweep_sup(g, u, T, truncated):
     tt, yy = _float_tables(g)
     n = len(u)
     best = np.full(n, -np.inf)
@@ -72,49 +68,75 @@ def sup_values(g, u, T):
         upd = yy[j] > seg_best
         seg_best[upd] = yy[j]
         seg_pos[upd] = tt[j]
-    return bestpos - u
+    g_left = np.interp(u, tt, yy)
+    g_right = np.interp(u + T, tt, yy)
+    codes = np.full(n, _CODE_INTERIOR, dtype=np.int8)
+    values = bestpos - u
+    left_wins = g_left >= np.maximum(best, g_right)
+    right_wins = ~left_wins & (g_right > best)
+    codes[left_wins] = _CODE_ZERO
+    codes[right_wins] = _CODE_T
+    if truncated:
+        sup = np.maximum(best, np.maximum(g_left, g_right))
+        codes[sup < 0.5] = _CODE_INF
+    return codes, values
 
 
-def first_hit_values(g, u, T, level):
+def sweep_first_hit(g, u, T, level):
     HL, HH = hit_intervals(g, level)
-    idx = np.minimum(np.searchsorted(HH, u, side="left"), len(HL) - 1)  # first interval ending at/after u
-    return HL[idx] - u
+    n = len(u)
+    codes = np.full(n, _CODE_INF, dtype=np.int8)
+    values = np.zeros(n)
+    if len(HL) == 0:
+        return codes, values
+    idx = np.searchsorted(HH, u, side="left")  # first interval ending at/after u
+    valid = idx < len(HL)
+    idx_c = np.minimum(idx, len(HL) - 1)
+    inside = valid & (HL[idx_c] <= u)
+    starts = HL[idx_c] - u
+    reachable = valid & ~inside & (HL[idx_c] <= u + T)
+    codes[inside] = _CODE_ZERO
+    codes[reachable] = _CODE_INTERIOR
+    values[reachable] = starts[reachable]
+    return codes, values
 
 
-def last_hit_values(g, u, T, level):
+def sweep_last_hit(g, u, T, level):
     HL, HH = hit_intervals(g, level)
-    idx = np.maximum(np.searchsorted(HL, u + T, side="right") - 1, 0)  # last interval starting by u+T
-    return HH[idx] - u
+    n = len(u)
+    codes = np.full(n, _CODE_INF, dtype=np.int8)
+    values = np.zeros(n)
+    if len(HL) == 0:
+        return codes, values
+    ub = u + T
+    idx = np.searchsorted(HL, ub, side="right") - 1  # last interval starting by u+T
+    valid = idx >= 0
+    idx_c = np.maximum(idx, 0)
+    inside = valid & (HH[idx_c] >= ub)
+    ends = HH[idx_c] - u
+    reachable = valid & ~inside & (HH[idx_c] >= u)
+    codes[inside] = _CODE_T
+    codes[reachable] = _CODE_INTERIOR
+    values[reachable] = ends[reachable]
+    return codes, values
 
 
-def exact_codes(g, name: str, T: Fraction, shifts):
-    loc = locator_by_name(name)
-    codes = []
-    for x in shifts:
-        out = loc(g, x, x + T)
-        if out == INFINITY:
-            codes.append(_CODE_INF)
-        elif out == x:
-            codes.append(_CODE_ZERO)
-        elif out == x + T:
-            codes.append(_CODE_T)
+def run_engine(g, name: str, u, T: float):
+    if name == "composite":
+        lo, hi = g.min_value(), g.max_value()
+        if lo >= 0:
+            name = "sup"
+        elif lo <= -1 <= hi:
+            name = "first-hit:-1"
         else:
-            codes.append(_CODE_INTERIOR)
-    return np.array(codes, dtype=np.int8)
-
-
-def run_engine(g, name: str, u, T: Fraction, shifts):
-    """Codes of the exact locator at the exact shifts, interior values by the
-    float formulas at u."""
-    codes = exact_codes(g, name, T, shifts)
-    if not np.any(codes == _CODE_INTERIOR):
-        return codes, np.zeros(len(u))
-    loc = locator_by_name(name).route(g)
-    if loc.kind == "first-hit":
-        return codes, first_hit_values(g, u, float(T), loc.level)
-    if loc.kind == "last-hit":
-        return codes, last_hit_values(g, u, float(T), loc.level)
-    return codes, sup_values(g, u, float(T))
+            name = "last-hit:-2"
+    if name == "sup":
+        return sweep_sup(g, u, T, truncated=False)
+    if name == "truncated-sup":
+        return sweep_sup(g, u, T, truncated=True)
+    kind, level = name.split(":")
+    engine = sweep_first_hit if kind == "first-hit" else sweep_last_hit
+    return engine(g, u, T, Fraction(level))
 
 
 def collect(T_rat, codes, values):
@@ -131,14 +153,12 @@ def collect(T_rat, codes, values):
 
 def sweep_law(g, name: str, T: Fraction, grid_n: int) -> EmpiricalLaw:
     u = (np.arange(grid_n) + 0.5) / grid_n
-    shifts = [Fraction(2 * i + 1, 2 * grid_n) for i in range(grid_n)]
-    return collect(T, *run_engine(g, name, u, T, shifts))
+    return collect(T, *run_engine(g, name, u, float(T)))
 
 
 def mc_law(g, name: str, T: Fraction, n: int, seed: int) -> EmpiricalLaw:
     u = np.sort(np.random.Generator(np.random.Philox(seed)).random(n))
-    shifts = [Fraction(x).limit_denominator(10**12) for x in u]
-    return collect(T, *run_engine(g, name, u, T, shifts))
+    return collect(T, *run_engine(g, name, u, float(T)))
 
 
 def interior_cdf(law, x):
