@@ -59,9 +59,26 @@ from .paths import (
     truncated_sup_location,
 )
 from .poset import PointSystem, counting_density, poset_location, reach, sweep_oracle
-from .simulate import EmpiricalLaw, compare, mc_law, sweep_law
 
 __version__ = "0.1.0"
+
+# The float engines load numpy, so `periloc.simulate` is imported on first use
+# of these names. Each access reads the name from `simulate` afresh and nothing
+# is cached here, so a wrapper bound in `simulate` later is what callers get.
+_SIMULATE_NAMES = ("EmpiricalLaw", "compare", "mc_law", "sweep_law")
+
+
+def __getattr__(name):
+    if name in _SIMULATE_NAMES:
+        from . import simulate
+
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SIMULATE_NAMES))
+
 
 __all__ = [
     "Block",

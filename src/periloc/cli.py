@@ -52,7 +52,6 @@ from .mixability import (
     rearrangement_coupling,
 )
 from .paths import INFINITY, locator_by_name
-from .simulate import compare, mc_law, sweep_law
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -301,6 +300,9 @@ def _write_ecdf(emp, out: str) -> None:
 
 
 def cmd_simulate(args) -> int:
+    # the float engines load numpy; no other command imports them
+    from .simulate import compare, mc_law, sweep_law
+
     g = _load_path(args.path)
     locator = _checked(locator_by_name, args.locator)
     T = _rat_arg(args.T, "window length")

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-import numpy as np
-
 from .density import (
     PiecewiseDensity,
     Rational,
@@ -305,8 +303,11 @@ def rearrangement_coupling(
     sweeps repeat until stable. Further restarts shuffle the columns with a
     counter-based generator keyed by ``seed``, so results are reproducible.
     The sweeps run on the columns scaled to integers; only the best columns
-    go back to Fractions.
+    go back to Fractions. The shuffles use numpy's Philox generator, so this
+    is the one function of the module that loads numpy.
     """
+    import numpy as np
+
     if n < 2:
         raise ValueError("need n >= 2")
     base = problem.quantile_columns(n)

@@ -33,3 +33,42 @@ def test_no_raised_assertion_errors():
         if isinstance(node, ast.Raise) and node.exc is not None and raises_assertion_error(node)
     ]
     assert found == []
+
+
+def import_time_names(tree):
+    """Dotted names imported by statements that run when the module loads.
+
+    Imports inside function bodies run on first call, so they are skipped.
+    Relative names keep their leading dots (`from . import x` gives `.x`).
+    """
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            sep = "." if base.strip(".") else ""
+            yield base
+            yield from (f"{base}{sep}{alias.name}" for alias in node.names)
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_numpy_loaded_on_use():
+    # the exact commands start without numpy: only the float engines in
+    # `simulate` load it at import, and nothing loads them before first use
+    def loaded(name):
+        lazy = ("numpy", ".simulate", "periloc.simulate")
+        return next((p for p in lazy if name == p or name.startswith(p + ".")), None)
+
+    found = {
+        f"{path.name}:{loaded(name)}"
+        for path in Path(periloc.__file__).parent.glob("*.py")
+        if path.name != "simulate.py"
+        for name in import_time_names(ast.parse(path.read_text(encoding="utf-8")))
+        if loaded(name)
+    }
+    assert sorted(found) == []
