@@ -2,37 +2,37 @@
 
 The sweep evaluates a locator at shifts u_i and classifies each result as an
 atom (0, T, infinity) or an interior sample. For a paths.Locator, or a
-locator name, the evaluation is vectorized over numpy float arrays by the
-engine of the kind the locator routes to on the path. The engines take the
-shifts sorted ascending and cut them into index runs at the few shifts where
-a node or a hit interval enters or leaves the window; each run is then
-classified by slices against one node or one interval. The classification into atoms is
-decided by the window logic (which endpoint or hit wins), not by
-floating-point equality against 0 or T, with two known exceptions. A first
-hit exactly at the window end, or a last hit exactly at the window start, is
-counted as an interior sample (at T or at 0) instead of an atom. And the sup
-engines compare path values in floats, so rounding can break an exact tie
-(between the window ends, or of a window end with a node value or with 1/2)
-the other way. Any other callable, the bare functions of paths such as
-sup_location included, is evaluated exactly per shift, in rationals.
-"""
+locator name, the evaluation is vectorized by the engine of the kind the
+locator routes to on the path. The engines take the shifts sorted ascending
+and cut them into index runs at the few shifts where a node or a hit
+interval enters or leaves the window; each run is then classified as a
+whole, and its interior samples are a node or hit time less the shifts.
 
+The sup and truncated-sup engines place every cut exactly: the node cuts,
+and inside a run the roots of the affine differences between the path at
+the window ends, the highest inside node and 1/2, map to shift indices in
+integer arithmetic, and each index range is classified in integers. So they
+count every shift as the exact locators do at its exact value, ties
+included; only the interior values are floats. The first-hit and last-hit
+engines cut the float shifts at rounded hit positions, and have one known
+fault: a first hit exactly at the window end, or a last hit exactly at the
+window start, is counted as an interior sample (at T or at 0) instead of an
+atom. Any other callable, the bare functions of paths such as sup_location
+included, is evaluated exactly per shift, in rationals.
+"""
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Union
+from functools import cached_property
+from math import lcm
+from typing import Callable, Union
 
 import numpy as np
 
 from .density import LocationLaw, Rational, as_rat, integral
 from .paths import INFINITY, Locator, PiecewiseLinearPath, hit_intervals, locator_by_name
-
-_CODE_INTERIOR = 0
-_CODE_ZERO = 1
-_CODE_T = 2
-_CODE_INF = 3
-
 
 @dataclass(frozen=True)
 class EmpiricalLaw:
@@ -83,52 +83,203 @@ class ComparisonReport:
         )
 
 
-# --- node tables and vectorized locator cores ---
+# --- shifts and vectorized locator cores ---
 
 
-def _float_tables(g: PiecewiseLinearPath):
-    """Two periods of node positions/values as float arrays covering [0, 2]."""
-    t = np.array([float(x) for x, _ in g.nodes])
-    y = np.array([float(v) for _, v in g.nodes])
-    tt = np.concatenate([t[:-1], t[:-1] + 1.0, [2.0]])
-    yy = np.concatenate([y[:-1], y[:-1], [y[0]]])
-    return tt, yy
+class _Shifts:
+    """Sorted shifts in [0, 1): their floats u, each shift exactly as a
+    ratio, and index bounds of exact cuts."""
+
+    n: int
+
+    def interior(self, pieces) -> np.ndarray:
+        """The samples x - u_i for every piece (x, s, e) and s <= i < e, in
+        one new array."""
+        out = np.empty(sum(e - s for _, s, e in pieces))
+        k = 0
+        for x, s, e in pieces:
+            o = out[k : k + e - s]
+            np.subtract(x, self._u_slice(s, e, o), out=o)
+            k += e - s
+        return out
 
 
-def _sweep_sup(g, u: np.ndarray, T: float, truncated: bool):
-    """Codes and values of the (truncated) sup locator; u sorted ascending.
+class _Grid(_Shifts):
+    """The midpoint grid u_i = (2i+1)/(2n)."""
 
-    Node j lies strictly inside the windows of the shifts u[lo[j]:hi[j]], so
-    the cuts lo and hi split u into runs that share one set of interior nodes.
-    Each run takes the highest of them (the first one on ties) and is then
-    classified against the path values at its window ends, slice by slice.
+    def __init__(self, n: int):
+        self.n = n
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        return (np.arange(self.n) + 0.5) / self.n
+
+    def _u_slice(self, s: int, e: int, buf: np.ndarray) -> np.ndarray:
+        """u[s:e], computed into buf unless a hit engine built the grid."""
+        if "u" in self.__dict__:
+            return self.u[s:e]
+        np.add(np.arange(s, e, dtype=float), 0.5, out=buf)
+        buf /= self.n
+        return buf
+
+    def ratio(self, i: int) -> tuple[int, int]:
+        """Shift i as a numerator and a positive denominator."""
+        return 2 * i + 1, 2 * self.n
+
+    def bounds(self, p: int, q: int) -> tuple[int, int]:
+        """Index of the first shift >= p/q and of the first shift > p/q (q > 0)."""
+        m, d, n = 2 * self.n * p - q, 2 * q, self.n  # u_i >= p/q iff i >= m/d
+        return min(max(-(-m // d), 0), n), min(max(m // d + 1, 0), n)
+
+
+class _Sample(_Shifts):
+    """Sorted float shifts, each read as the binary rational it is."""
+
+    def __init__(self, u: np.ndarray):
+        self.n = len(u)
+        self.u = u
+
+    def _u_slice(self, s: int, e: int, buf: np.ndarray) -> np.ndarray:
+        return self.u[s:e]
+
+    def ratio(self, i: int) -> tuple[int, int]:
+        return self.u[i].as_integer_ratio()
+
+    def _sign(self, i: int, p: int, q: int) -> int:
+        """Sign of u_i - p/q."""
+        num, den = self.ratio(i)
+        v = num * q - p * den
+        return (v > 0) - (v < 0)
+
+    def bounds(self, p: int, q: int) -> tuple[int, int]:
+        if p < 0 or p >= q:
+            return (0, 0) if p < 0 else (self.n, self.n)
+        # search the float nearest p/q, then step over the shifts it rounded past
+        lo = int(np.searchsorted(self.u, p / q))
+        while lo > 0 and self._sign(lo - 1, p, q) >= 0:
+            lo -= 1
+        while lo < self.n and self._sign(lo, p, q) < 0:
+            lo += 1
+        hi = lo
+        while hi < self.n and self._sign(hi, p, q) == 0:
+            hi += 1
+        return lo, hi
+
+
+def _float_times(g: PiecewiseLinearPath) -> np.ndarray:
+    """Node times of two periods, [0, 2), as the floats interior values use."""
+    t = np.array([float(x) for x, _ in g.nodes[:-1]])
+    return np.concatenate([t, t + 1.0])
+
+
+# a shift's class, as an index into the counts (zero, T, inf)
+_ZERO, _AT_T, _INF, _INTERIOR = 0, 1, 2, 3
+
+
+def _sweep_sup(g: PiecewiseLinearPath, shifts: _Shifts, T: Fraction, truncated: bool):
+    """Counts (zero, T, inf) and interior pieces of the (truncated) sup locator.
+
+    Times are scaled to integers by dt and values by dy. Between two cuts,
+    where a node enters or leaves the window [u, u + T], the nodes strictly
+    inside are a fixed run of the two-period node table, and g(u) and
+    g(u + T) each lie on one piece, so both are affine in u. The first
+    highest inside node is kept incrementally, in a deque of node indices
+    with non-increasing values. Inside a run the class can change only at a
+    root of g(u) - g(u + T), of g(u) or g(u + T) less that node's value, or,
+    truncated, less 1/2. Each class is where a few of these differences have
+    given signs, so it fills an interval of the run: a run whose first and
+    last shifts share a class has it throughout. Otherwise the roots map to
+    shift indices exactly, and each index range between them is classified
+    at its first shift. Classes are decided in integers, with the tie rules
+    of paths._sup. Shifts that sit on a cut are classified on their own: a
+    node at a window end is not inside.
     """
-    tt, yy = _float_tables(g)
-    n = len(u)
-    lo = np.searchsorted(u, tt - T, side="right")
-    hi = np.searchsorted(u, tt, side="left")
-    cuts = sorted({0, n, *lo.tolist(), *hi.tolist()})
-    g_left = np.interp(u, tt, yy)
-    g_right = np.interp(u + T, tt, yy)
-    codes = np.empty(n, dtype=np.int8)
-    values = np.empty(n)
-    for s, e in zip(cuts, cuts[1:]):
-        inside = np.flatnonzero((lo <= s) & (s < hi))
-        best, bestpos = -np.inf, 0.0
-        if len(inside):
-            j = inside[np.argmax(yy[inside])]
-            best, bestpos = yy[j], tt[j]
-        gl, gr = g_left[s:e], g_right[s:e]
-        left_wins = gl >= np.maximum(best, gr)
-        right_wins = ~left_wins & (gr > best)
-        run = codes[s:e]
-        run[:] = _CODE_INTERIOR
-        run[left_wins] = _CODE_ZERO
-        run[right_wins] = _CODE_T
-        if truncated:
-            run[np.maximum(best, np.maximum(gl, gr)) < 0.5] = _CODE_INF
-        values[s:e] = bestpos - u[s:e]
-    return codes, values
+    if not 0 < T <= 1:
+        raise ValueError(f"a sup window needs 0 < T <= 1, got T = {T}")
+    times, values, _, _, _ = g._table
+    dt = lcm(T.denominator, *(t.denominator for t in times))
+    dy = lcm(2, *(y.denominator for y in values))
+    tau = [t.numerator * (dt // t.denominator) for t in times] + [2 * dt]
+    eta = [y.numerator * (dy // y.denominator) for y in values]
+    eta.append(eta[0])
+    theta, half = T.numerator * (dt // T.denominator), dy // 2
+
+    def affines(p, q, best):
+        """The differences the class depends on, as pairs (a, k) whose sign
+        is that of a + k*u: g(u) - g(u + T), then g(u) and g(u + T) less the
+        best inside value (None without one) and less 1/2 (None unless the
+        truncation can apply); and whether the best value is below 1/2."""
+        lp, lq = tau[p + 1] - tau[p], tau[q + 1] - tau[q]
+        sp, sq = eta[p + 1] - eta[p], eta[q + 1] - eta[q]
+        la, lk = eta[p] * lp - sp * tau[p], sp * dt  # g(u) * lp
+        ra, rk = eta[q] * lq + sq * (theta - tau[q]), sq * dt  # g(u + T) * lq
+        lr = (la * lq - ra * lp, lk * lq - rk * lp)
+        lb = rb = lh = rh = None
+        if best is not None:
+            lb, rb = (la - best * lp, lk), (ra - best * lq, rk)
+        low = truncated and best is not None and best < half
+        if truncated and (best is None or low):
+            lh, rh = (la - half * lp, lk), (ra - half * lq, rk)
+        return lr, lb, rb, lh, rh, low
+
+    def classify(i, lr, lb, rb, lh, rh, low):
+        num, den = shifts.ratio(i)
+        # the left end wins on >=, then the first highest inside node, and
+        # the right end only when strictly higher than both
+        if lb is None or lb[0] * den + lb[1] * num >= 0:
+            cls, top = (_AT_T, rh) if lr[0] * den + lr[1] * num < 0 else (_ZERO, lh)
+        elif rb[0] * den + rb[1] * num > 0:
+            cls, top = _AT_T, rh
+        else:
+            return _INF if low else _INTERIOR
+        return _INF if top is not None and top[0] * den + top[1] * num < 0 else cls
+
+    tt = _float_times(g)
+    counts, pieces = [0, 0, 0], []
+
+    def emit(a, b, cls, j):
+        if cls == _INTERIOR:
+            pieces.append((tt[j], a, b))
+        else:
+            counts[cls] += b - a
+
+    cuts = sorted({x for t in tau[:-1] for x in (t, t - theta) if 0 <= x < dt})
+    window = deque()
+    p = q = 0
+    lo, hi = shifts.bounds(0, 1)
+    for c, c_next in zip(cuts, cuts[1:] + [dt]):
+        # the run (c, c_next): u on piece p, u + T on piece q, nodes p+1..q inside
+        while tau[p + 1] <= c:
+            p += 1
+        while tau[q + 1] <= c + theta:
+            q += 1
+            while window and eta[window[-1]] < eta[q]:
+                window.pop()
+            window.append(q)
+        while window and window[0] <= p:
+            window.popleft()
+        next_lo, next_hi = shifts.bounds(c_next, dt)
+        if lo < hi:  # shifts at c itself; a node at u + T is not inside
+            last = q - 1 if tau[q] == c + theta else q
+            j = max(range(p + 1, last + 1), key=eta.__getitem__, default=None)
+            emit(lo, hi, classify(lo, *affines(p, q, None if j is None else eta[j])), j)
+        if hi < next_lo:
+            j = window[0] if window else None
+            fns = affines(p, q, None if j is None else eta[j])
+            cls = classify(hi, *fns)
+            if cls == classify(next_lo - 1, *fns):
+                emit(hi, next_lo, cls, j)
+            else:
+                edges = {hi, next_lo}
+                for a, k in filter(None, fns[:5]):
+                    if k:
+                        for e in shifts.bounds(-a, k) if k > 0 else shifts.bounds(a, -k):
+                            edges.add(min(max(e, hi), next_lo))
+                edges = sorted(edges)
+                for a, b in zip(edges, edges[1:]):
+                    emit(a, b, classify(a, *fns), j)
+        lo, hi = next_lo, next_hi
+    return (*counts, pieces)
 
 
 def _hit_intervals(g: PiecewiseLinearPath, level: Fraction):
@@ -144,32 +295,31 @@ def _hit_intervals(g: PiecewiseLinearPath, level: Fraction):
 
 
 def _sweep_first_hit(g, u: np.ndarray, T: float, level: Fraction):
-    """Codes and values of first_hit; u sorted ascending.
+    """Counts (zero, T, inf) and interior pieces of first_hit; u sorted
+    ascending.
 
     The shifts u[ends[k-1]:ends[k]] have the hit interval k as the first one
     ending at or after u. Within that run the window misses the interval, then
     reaches it, then starts inside it, so three slices classify the run.
     """
     HL, HH = _hit_intervals(g, level)
-    n = len(u)
-    codes = np.full(n, _CODE_INF, dtype=np.int8)
-    values = np.zeros(n)
-    ends = np.searchsorted(u, HH, side="right")
-    reach = np.searchsorted(u + T, HL, side="left")  # first u with HL <= u + T
-    inside = np.searchsorted(u, HL, side="left")  # first u with HL <= u
-    a = 0
-    for k, b in enumerate(ends.tolist()):
+    ends = np.searchsorted(u, HH, side="right").tolist()
+    reach = np.searchsorted(u + T, HL, side="left").tolist()  # first u with HL <= u + T
+    inside = np.searchsorted(u, HL, side="left").tolist()  # first u with HL <= u
+    count0, pieces, a = 0, [], 0
+    for k, b in enumerate(ends):
         r = min(max(reach[k], a), b)
         z = min(max(inside[k], a), b)
-        codes[r:z] = _CODE_INTERIOR
-        values[r:z] = HL[k] - u[r:z]
-        codes[z:b] = _CODE_ZERO
+        if r < z:
+            pieces.append((HL[k], r, z))
+        count0 += b - z
         a = b
-    return codes, values
+    return count0, 0, len(u) - count0 - sum(e - s for _, s, e in pieces), pieces
 
 
 def _sweep_last_hit(g, u: np.ndarray, T: float, level: Fraction):
-    """Codes and values of last_hit; u sorted ascending.
+    """Counts (zero, T, inf) and interior pieces of last_hit; u sorted
+    ascending.
 
     The shifts u[starts[k]:starts[k+1]] have the hit interval k as the last
     one starting by u + T. Within that run the window ends inside the
@@ -177,80 +327,61 @@ def _sweep_last_hit(g, u: np.ndarray, T: float, level: Fraction):
     """
     HL, HH = _hit_intervals(g, level)
     n = len(u)
-    codes = np.full(n, _CODE_INF, dtype=np.int8)
-    values = np.zeros(n)
     ub = u + T
-    starts = np.searchsorted(ub, HL, side="left")
-    inside = np.searchsorted(ub, HH, side="right")  # end of u with u + T <= HH
-    reach = np.searchsorted(u, HH, side="right")  # end of u with u <= HH
-    for k, (a, b) in enumerate(zip(starts.tolist(), starts[1:].tolist() + [n])):
+    starts = np.searchsorted(ub, HL, side="left").tolist()
+    inside = np.searchsorted(ub, HH, side="right").tolist()  # end of u with u + T <= HH
+    reach = np.searchsorted(u, HH, side="right").tolist()  # end of u with u <= HH
+    countT, pieces = 0, []
+    for k, (a, b) in enumerate(zip(starts, starts[1:] + [n])):
         z = min(max(inside[k], a), b)
         r = min(max(reach[k], a), b)
-        codes[a:z] = _CODE_T
-        codes[z:r] = _CODE_INTERIOR
-        values[z:r] = HH[k] - u[z:r]
-    return codes, values
+        countT += z - a
+        if z < r:
+            pieces.append((HH[k], z, r))
+    return 0, countT, n - countT - sum(e - s for _, s, e in pieces), pieces
 
 
-def _collect(T_rat: Fraction, codes: np.ndarray, values: np.ndarray) -> EmpiricalLaw:
-    # the engines emit the interior in monotone runs, which timsort merges;
-    # count_nonzero per code beats np.bincount, which widens the int8 codes
-    interior = np.sort(values[codes == _CODE_INTERIOR], kind="stable")
-    return EmpiricalLaw(
-        T=float(T_rat),
-        n=len(codes),
-        count0=int(np.count_nonzero(codes == _CODE_ZERO)),
-        countT=int(np.count_nonzero(codes == _CODE_T)),
-        countInf=int(np.count_nonzero(codes == _CODE_INF)),
-        interior=interior,
-    )
-
-
-def _generic_eval(g, locator: Callable, T: Fraction, shifts: Iterable[Fraction]) -> EmpiricalLaw:
-    codes = []
-    values = []
-    for u in shifts:
+def _generic_eval(g, locator: Callable, T: Fraction, shifts: _Shifts):
+    """Counts (zero, T, inf) and the interior of any callable locator,
+    evaluated exactly at every shift."""
+    counts, values = [0, 0, 0], []
+    for i in range(shifts.n):
+        u = Fraction(*shifts.ratio(i))
         out = locator(g, u, u + T)
         if out == INFINITY:
-            codes.append(_CODE_INF)
-            values.append(0.0)
+            counts[_INF] += 1
             continue
         lam = out - u
         if lam == 0:
-            codes.append(_CODE_ZERO)
-            values.append(0.0)
+            counts[_ZERO] += 1
         elif lam == T:
-            codes.append(_CODE_T)
-            values.append(0.0)
+            counts[_AT_T] += 1
         else:
-            codes.append(_CODE_INTERIOR)
             values.append(float(lam))
-    return _collect(T, np.array(codes, dtype=np.int8), np.array(values))
+    return (*counts, np.array(values))
 
 
-def _sample_law(
-    g: PiecewiseLinearPath,
-    locator: Union[str, Callable],
-    T_rat: Fraction,
-    u: np.ndarray,
-    exact_shifts: Iterable[Fraction],
-) -> EmpiricalLaw:
-    """Law of the locator over the shifts u (sorted ascending). A Locator, or
-    its name, runs the vectorized engine of the kind it routes to on g; any
-    other callable is evaluated exactly at exact_shifts, the shifts u as
-    rationals."""
+def _sample_law(g: PiecewiseLinearPath, locator: Union[str, Callable], T_rat: Fraction, shifts: _Shifts) -> EmpiricalLaw:
+    """Law of the locator over the shifts (a _Grid or a _Sample). A Locator,
+    or its name, runs the vectorized engine of the kind it routes to on g;
+    any other callable is evaluated exactly at every shift."""
     if isinstance(locator, str):
         locator = locator_by_name(locator)
     if not isinstance(locator, Locator):
-        return _generic_eval(g, locator, T_rat, exact_shifts)
-    loc, T = locator.route(g), float(T_rat)
-    if loc.kind == "first-hit":
-        codes, values = _sweep_first_hit(g, u, T, loc.level)
-    elif loc.kind == "last-hit":
-        codes, values = _sweep_last_hit(g, u, T, loc.level)
+        count0, countT, countInf, interior = _generic_eval(g, locator, T_rat, shifts)
     else:
-        codes, values = _sweep_sup(g, u, T, truncated=loc.kind == "truncated-sup")
-    return _collect(T_rat, codes, values)
+        loc = locator.route(g)
+        if loc.kind == "first-hit":
+            out = _sweep_first_hit(g, shifts.u, float(T_rat), loc.level)
+        elif loc.kind == "last-hit":
+            out = _sweep_last_hit(g, shifts.u, float(T_rat), loc.level)
+        else:
+            out = _sweep_sup(g, shifts, T_rat, truncated=loc.kind == "truncated-sup")
+        count0, countT, countInf, pieces = out
+        interior = shifts.interior(pieces)
+    # the engines emit the interior in monotone runs, which timsort merges
+    interior.sort(kind="stable")
+    return EmpiricalLaw(T=float(T_rat), n=shifts.n, count0=count0, countT=countT, countInf=countInf, interior=interior)
 
 
 def sweep_law(
@@ -262,21 +393,20 @@ def sweep_law(
     """Law of locator(g(. + u), [0, T]) over the midpoint grid u = (i+1/2)/n.
 
     Deterministic and reproducible bit-exactly for a fixed (path, locator,
-    grid) triple. The grid is generated in ascending order, as the engines
-    require. A Locator or a locator name costs O(n + E log n + E^2) for its
-    E node or hit events (a few per path node), plus one stable sort of the
-    interior samples. Midpoints do not keep every shift off a classification
-    boundary: on an odd grid u = 1/2 is a shift, and a hit that lies exactly
-    at a window end is misclassified, as is a sup tie that float rounding
-    breaks (see the module docstring). Any other callable is evaluated
-    exactly at every shift.
+    grid) triple. A Locator or a locator name costs O(E log E) for its E node
+    or hit events (a few per path node), plus filling and a stable sort of
+    the interior samples; the hit engines also build the float grid, O(n).
+    The sup and truncated-sup engines count every shift as the exact locator
+    does at u = (2i+1)/(2n), exact ties included. The hit engines do not:
+    midpoints do not keep every shift off a classification boundary (on an
+    odd grid u = 1/2 is a shift), and a hit that lies exactly at a window
+    end is misclassified (see the module docstring). Any other callable is
+    evaluated exactly at every shift.
     """
     T_rat = as_rat(T)
     if grid_n < 1:
         raise ValueError("grid_n must be >= 1")
-    u = (np.arange(grid_n) + 0.5) / grid_n
-    shifts = (Fraction(2 * i + 1, 2 * grid_n) for i in range(grid_n))
-    return _sample_law(g, locator, T_rat, u, shifts)
+    return _sample_law(g, locator, T_rat, _Grid(grid_n))
 
 
 def mc_law(
@@ -290,15 +420,16 @@ def mc_law(
 
     The generator is numpy's counter-based Philox keyed by the 64-bit seed,
     so (seed, n) fully determine the output and parallel/serial evaluation
-    orders agree. The shifts are sorted before the engines run.
+    orders agree. The shifts are sorted before the engines run. Each float
+    shift x stands for the rational Fraction(x), its exact value: a callable
+    locator is evaluated there, and the sup engines classify it there too, so
+    a named sup locator and a wrapped one give the same counts.
     """
     T_rat = as_rat(T)
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.Generator(np.random.Philox(seed))
-    u = np.sort(rng.random(n))
-    shifts = (Fraction(x).limit_denominator(10**12) for x in u)
-    return _sample_law(g, locator, T_rat, u, shifts)
+    return _sample_law(g, locator, T_rat, _Sample(np.sort(rng.random(n))))
 
 
 # --- comparison against a target law ---
@@ -317,20 +448,28 @@ def _interior_cdf_table(law: LocationLaw):
 
 def _sorted_cdf(law: LocationLaw, x: np.ndarray) -> np.ndarray:
     """Integral of the density over (0, x], for float x sorted ascending
-    (clipped to [0, T]), evaluated one slice per density cell."""
+    (clipped to [0, T]), evaluated one slice per density cell, in place in
+    one new array."""
     bp, cum, segs = _interior_cdf_table(law)
-    x = np.clip(x, bp[0], bp[-1])
-    cuts = [0, *np.searchsorted(x, bp[1:-1], side="left").tolist(), len(x)]
-    out = np.empty_like(x)
+    out = np.clip(x, bp[0], bp[-1])
+    cuts = [0, *np.searchsorted(out, bp[1:-1], side="left").tolist(), len(out)]
     for j, (p, q) in enumerate(segs):
-        s, e = cuts[j], cuts[j + 1]
-        a, xs = bp[j], x[s:e]
-        if q == 0:
-            # the q term would be a signed zero, and cum[j] >= 0 keeps the
-            # sum off -0.0, so dropping it leaves every bit unchanged
-            out[s:e] = cum[j] + p * (xs - a)
-        else:
-            out[s:e] = cum[j] + p * (xs - a) + q * (xs * xs - a * a) / 2
+        a, xs = bp[j], out[cuts[j] : cuts[j + 1]]
+        # cum[j] + p * (xs - a) + q * (xs * xs - a * a) / 2, operation by
+        # operation; with q == 0 the q term would be a signed zero, and
+        # cum[j] >= 0 keeps the sum off -0.0, so dropping it leaves every bit
+        # unchanged
+        quad = None
+        if q != 0:
+            quad = xs * xs
+            quad -= a * a
+            quad *= q
+            quad /= 2
+        xs -= a
+        xs *= p
+        np.add(cum[j], xs, out=xs)
+        if quad is not None:
+            xs += quad
     return out
 
 
@@ -357,7 +496,12 @@ def compare(
     if m == 0 or mass == 0.0:
         ks = 0.0 if (m == 0) == (mass == 0.0) else 1.0
     else:
-        G = _sorted_cdf(target, emp.interior) / mass
-        steps = np.arange(m + 1) / m  # the ECDF after i samples is steps[i]
-        ks = float(np.maximum(np.max(steps[1:] - G), np.max(G - steps[:-1])))
+        G = _sorted_cdf(target, emp.interior)
+        G /= mass
+        steps = np.arange(m + 1, dtype=float)
+        steps /= m  # the ECDF after i samples is steps[i]
+        d = steps[1:] - G
+        above = np.max(d)
+        np.subtract(G, steps[:-1], out=d)
+        ks = float(np.maximum(above, np.max(d)))
     return ComparisonReport(ks=ks, atom_errors=atom_errors, tol_ks=tol_ks, tol_atom=tol_atom)

@@ -1,11 +1,12 @@
 """Per-shift reference copies of the vectorized sweep engines and of compare.
 
-These are the engines as they were before the run-based rewrite: every shift
-is searched into the hit intervals, the sup engine takes one masked update
-over all shifts per node, and compare gathers per-sample cell data. The hit
-intervals are merged here from every affine piece of two periods, apart from
-the path's own hit table. The library must reproduce them byte for byte
-(tests/test_simulate.py).
+The hit engines are as they were before the run-based rewrite: every shift
+is searched into the hit intervals, which are merged here from every affine
+piece of two periods, apart from the path's own hit table. The sup engine
+classifies every shift with the exact locator at its exact value, (2i+1)/(2n)
+on the grid and Fraction(u) for a Monte Carlo shift, and takes the interior
+value in floats, node time less shift. compare gathers per-sample cell data.
+The library must reproduce them byte for byte (tests/test_simulate.py).
 """
 
 from __future__ import annotations
@@ -14,16 +15,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from periloc.simulate import (
-    _CODE_INF,
-    _CODE_INTERIOR,
-    _CODE_T,
-    _CODE_ZERO,
-    ComparisonReport,
-    EmpiricalLaw,
-    _float_tables,
-    _interior_cdf_table,
-)
+from periloc.paths import INFINITY, sup_location, truncated_sup_location
+from periloc.simulate import ComparisonReport, EmpiricalLaw, _interior_cdf_table
+
+_CODE_INTERIOR = 0
+_CODE_ZERO = 1
+_CODE_T = 2
+_CODE_INF = 3
 
 
 def hit_intervals(g, level):
@@ -52,33 +50,26 @@ def hit_intervals(g, level):
     return HL, HH
 
 
-def sweep_sup(g, u, T, truncated):
-    tt, yy = _float_tables(g)
+def sweep_sup(g, u, shifts, T, truncated):
+    # node times over two periods, exact and as the floats of the interior values
+    times = [t for t, _ in g.nodes[:-1]]
+    t = np.array([float(x) for x in times])
+    tt = np.concatenate([t, t + 1.0])
+    times += [x + 1 for x in times]
+    locate = truncated_sup_location if truncated else sup_location
     n = len(u)
-    best = np.full(n, -np.inf)
-    bestpos = np.zeros(n)
-    for j in range(len(tt)):
-        # windows with tt[j] strictly interior: u in (tt[j] - T, tt[j])
-        lo = np.searchsorted(u, tt[j] - T, side="right")
-        hi = np.searchsorted(u, tt[j], side="left")
-        if lo >= hi:
-            continue
-        seg_best = best[lo:hi]
-        seg_pos = bestpos[lo:hi]
-        upd = yy[j] > seg_best
-        seg_best[upd] = yy[j]
-        seg_pos[upd] = tt[j]
-    g_left = np.interp(u, tt, yy)
-    g_right = np.interp(u + T, tt, yy)
     codes = np.full(n, _CODE_INTERIOR, dtype=np.int8)
-    values = bestpos - u
-    left_wins = g_left >= np.maximum(best, g_right)
-    right_wins = ~left_wins & (g_right > best)
-    codes[left_wins] = _CODE_ZERO
-    codes[right_wins] = _CODE_T
-    if truncated:
-        sup = np.maximum(best, np.maximum(g_left, g_right))
-        codes[sup < 0.5] = _CODE_INF
+    values = np.zeros(n)
+    for i, x in enumerate(shifts):
+        pos = locate(g, x, x + T)
+        if pos == INFINITY:
+            codes[i] = _CODE_INF
+        elif pos == x:
+            codes[i] = _CODE_ZERO
+        elif pos == x + T:
+            codes[i] = _CODE_T
+        else:
+            values[i] = tt[times.index(pos)] - u[i]
     return codes, values
 
 
@@ -121,7 +112,7 @@ def sweep_last_hit(g, u, T, level):
     return codes, values
 
 
-def run_engine(g, name: str, u, T: float):
+def run_engine(g, name: str, u, shifts, T: Fraction):
     if name == "composite":
         lo, hi = g.min_value(), g.max_value()
         if lo >= 0:
@@ -131,12 +122,12 @@ def run_engine(g, name: str, u, T: float):
         else:
             name = "last-hit:-2"
     if name == "sup":
-        return sweep_sup(g, u, T, truncated=False)
+        return sweep_sup(g, u, shifts, T, truncated=False)
     if name == "truncated-sup":
-        return sweep_sup(g, u, T, truncated=True)
+        return sweep_sup(g, u, shifts, T, truncated=True)
     kind, level = name.split(":")
     engine = sweep_first_hit if kind == "first-hit" else sweep_last_hit
-    return engine(g, u, T, Fraction(level))
+    return engine(g, u, float(T), Fraction(level))
 
 
 def collect(T_rat, codes, values):
@@ -153,12 +144,13 @@ def collect(T_rat, codes, values):
 
 def sweep_law(g, name: str, T: Fraction, grid_n: int) -> EmpiricalLaw:
     u = (np.arange(grid_n) + 0.5) / grid_n
-    return collect(T, *run_engine(g, name, u, float(T)))
+    shifts = [Fraction(2 * i + 1, 2 * grid_n) for i in range(grid_n)]
+    return collect(T, *run_engine(g, name, u, shifts, T))
 
 
 def mc_law(g, name: str, T: Fraction, n: int, seed: int) -> EmpiricalLaw:
     u = np.sort(np.random.Generator(np.random.Philox(seed)).random(n))
-    return collect(T, *run_engine(g, name, u, float(T)))
+    return collect(T, *run_engine(g, name, u, [Fraction(x) for x in u], T))
 
 
 def interior_cdf(law, x):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -28,6 +29,7 @@ from periloc.simulate import (
 from test_paths import TRIANGLE, paths, rat_small, tie_paths, tie_values
 
 UNIFORM = step_law(1, (0, 1), (1,))
+horizons = st.integers(1, 40).map(lambda k: F(k, 40))
 
 
 def laws_equal(a: EmpiricalLaw, b: EmpiricalLaw, tol=1e-9):
@@ -106,25 +108,19 @@ class TestCompositeRouting:
 class TestEngineMatchesExactLocators:
     """The float engine must reproduce the rational locators shift by shift."""
 
-    @given(g=paths())
+    # tie paths put nodes, window ends and 1/2 on one lattice, so the sup
+    # engines meet exact ties between window ends, node values and 1/2
+    @given(g=tie_paths(), T=horizons, n=st.sampled_from((1, 2, 20, 53)))
     @settings(max_examples=60, deadline=None)
-    def test_sup(self, g):
+    def test_sup(self, g, T, n):
         wrapped = lambda g_, a, b: sup_location(g_, a, b)  # hides the fast path
-        laws_equal(
-            sweep_law(g, "sup", F(2, 5), 53),
-            sweep_law(g, wrapped, F(2, 5), 53),
-        )
+        laws_equal(sweep_law(g, "sup", T, n), sweep_law(g, wrapped, T, n))
 
-    @given(g=paths())
+    @given(g=tie_paths(), T=horizons, n=st.sampled_from((1, 2, 20, 53)))
     @settings(max_examples=60, deadline=None)
-    def test_truncated_sup(self, g):
-        name = "truncated-sup"
-        wrapped = lambda g_, a, b: locator_by_name(name)(g_, a, b)
-        wrapped_nodesc = lambda g_, a, b: wrapped(g_, a, b)
-        laws_equal(
-            sweep_law(g, name, F(3, 10), 53),
-            sweep_law(g, wrapped_nodesc, F(3, 10), 53),
-        )
+    def test_truncated_sup(self, g, T, n):
+        wrapped = lambda g_, a, b: truncated_sup_location(g_, a, b)
+        laws_equal(sweep_law(g, "truncated-sup", T, n), sweep_law(g, wrapped, T, n))
 
     @given(g=paths())
     @settings(max_examples=60, deadline=None)
@@ -172,13 +168,67 @@ class TestWindowEndFault:
         assert (emp.count0, emp.countT, emp.countInf) == (0, 1, 4)
 
 
+class TestSupTies:
+    """Exact ties of the sup engines: between the window ends, of a window end
+    with a node value, and of the sup with 1/2. Floats broke some of them the
+    other way; the engines cut the shifts exactly instead."""
+
+    @pytest.mark.parametrize(
+        "nodes, name, T, n, counts",
+        [
+            (
+                ((0, -2), (F(3, 40), F(-1, 2)), (F(13, 20), F(-7, 4)), (F(27, 40), F(1, 2)), (F(7, 8), 0), (F(19, 20), F(3, 2)), (1, -2)),
+                "sup", F(2, 5), 53, (12, 3, 0),
+            ),
+            (
+                ((0, F(-11, 4)), (F(9, 20), F(7, 4)), (F(19, 40), 2), (F(11, 20), F(5, 2)), (F(29, 40), F(7, 4)), (F(37, 40), F(-1, 2)), (F(19, 20), F(7, 4)), (1, F(-11, 4))),
+                "sup", F(1, 4), 20, (5, 6, 0),
+            ),
+            (
+                ((0, -1), (F(3, 10), F(5, 4)), (F(9, 20), -3), (1, -1)),
+                "truncated-sup", F(9, 20), 2, (0, 1, 0),
+            ),
+        ],
+    )
+    def test_tie_counts(self, nodes, name, T, n, counts):
+        emp = sweep_law(PiecewiseLinearPath(nodes), name, T, n)
+        assert (emp.count0, emp.countT, emp.countInf) == counts
+
+    @pytest.mark.parametrize("T", [F(0), F(3, 2)])
+    def test_window_outside_one_period_is_a_value_error(self, T):
+        # as the exact locator rejects the window
+        for locator in ("sup", "truncated-sup", sup_location):
+            with pytest.raises(ValueError):
+                sweep_law(TRIANGLE, locator, T, 10)
+
+    def test_seeded_scan_matches_exact_evaluation(self):
+        # tie paths as tests/test_paths.py draws them, T on the 1/40 lattice
+        r = random.Random(20)
+        values = [F(-2), F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(3, 2)]
+        exact = {
+            "sup": lambda g_, a, b: sup_location(g_, a, b),
+            "truncated-sup": lambda g_, a, b: truncated_sup_location(g_, a, b),
+        }
+        mismatches = []
+        for case in range(400):
+            cuts = sorted(r.sample(range(1, 40), r.randint(0, 7)))
+            y0 = r.choice(values)
+            nodes = ((0, y0), *((F(c, 40), r.choice(values)) for c in cuts), (1, y0))
+            g = PiecewiseLinearPath(nodes)
+            name, T, n = r.choice(sorted(exact)), F(r.randint(1, 40), 40), r.randint(1, 120)
+            fast, slow = sweep_law(g, name, T, n), sweep_law(g, exact[name], T, n)
+            same = (fast.count0, fast.countT, fast.countInf) == (slow.count0, slow.countT, slow.countInf)
+            if not (same and np.allclose(fast.interior, slow.interior, atol=1e-9, rtol=0)):
+                mismatches.append((case, nodes, name, T, n))
+        assert mismatches == []
+
+
 # --- the run-based engines against the per-shift reference ---
 
 # odd, even and tiny grids; the shifts of the grid 20 are odd multiples of
 # 1/40, on the lattice of the path nodes, so windows often start or end at a
 # node or hit
 GRIDS = (1, 2, 20, 53, 997)
-horizons = st.integers(1, 40).map(lambda k: F(k, 40))
 
 
 @st.composite
@@ -285,8 +335,8 @@ class TestLocatorDispatch:
         assert_same_bytes(mc_law(g, fn, F(2, 5), 40, 3), mc_law(g, wrapped, F(2, 5), 40, 3))
 
     def test_bare_sup_location_keeps_an_exact_tie(self):
-        # a path on which the sup engine breaks one exact tie the other way
-        # (it counts (12, 4, 0)); the bare function is evaluated exactly
+        # a path with an exact tie that float comparisons broke the other way
+        # (they counted (12, 4, 0)); the bare function is evaluated exactly
         g = PiecewiseLinearPath(
             ((0, -2), (F(3, 40), F(-1, 2)), (F(13, 20), F(-7, 4)), (F(27, 40), F(1, 2)), (F(7, 8), 0), (F(19, 20), F(3, 2)), (1, -2))
         )
@@ -308,6 +358,13 @@ class TestMonteCarlo:
         a = mc_law(TRIANGLE, "sup", 1, 1_000, seed=1)
         b = mc_law(TRIANGLE, "sup", 1, 1_000, seed=2)
         assert not np.array_equal(a.interior, b.interior)
+
+    @given(g=tie_paths(), T=horizons, seed=st.integers(0, 2**32))
+    @settings(max_examples=30, deadline=None)
+    def test_named_and_wrapped_sup_classify_the_same_shifts(self, g, T, seed):
+        # both read each float shift as the binary rational it is
+        wrapped = lambda g_, a, b: sup_location(g_, a, b)
+        laws_equal(mc_law(g, "sup", T, 200, seed), mc_law(g, wrapped, T, 200, seed))
 
     def test_triangle_sup_near_uniform(self):
         emp = mc_law(TRIANGLE, "sup", 1, 100_000, seed=7)

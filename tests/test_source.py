@@ -72,3 +72,17 @@ def test_numpy_loaded_on_use():
         if loaded(name)
     }
     assert sorted(found) == []
+
+
+def test_no_float_interpolation_in_simulate():
+    # the sup engines cut the shifts exactly; interpolating the path at every
+    # float shift beside those cuts would bring back float-broken ties
+    path = Path(periloc.__file__).parent / "simulate.py"
+    found = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr == "interp")
+        or (isinstance(node, ast.Name) and node.id == "interp")
+        or (isinstance(node, ast.alias) and node.name == "interp")
+    ]
+    assert found == []
