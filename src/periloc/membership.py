@@ -5,19 +5,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import ceil
 from typing import Optional, Union
 
-from .density import (
-    LocationLaw,
-    PiecewiseDensity,
-    Rational,
-    as_rat,
-    integral,
-    make_step_density,
-    mix_laws,
-)
+from .density import LocationLaw, PiecewiseDensity, make_step_density, mix_laws
 
 VERDICT_MEMBER = "member"
 VERDICT_NON_MEMBER = "non-member"
@@ -74,17 +65,6 @@ class HullCertificate:
 # --- variation constraint ---
 
 
-def _tv_prefixes(f: PiecewiseDensity):
-    """S[j]: slope variation of cells 1..j; J[j]: jumps at x_1..x_j."""
-    S = [Fraction(0)]
-    for (a, b), (_, q) in zip(zip(f.breakpoints, f.breakpoints[1:]), f.segments):
-        S.append(S[-1] + abs(q) * (b - a))
-    J = [Fraction(0)]
-    for jump in f.jumps():
-        J.append(J[-1] + abs(jump))
-    return S, J
-
-
 def _witness_points(f: PiecewiseDensity, i: int, j: int, slack: Fraction):
     """Concrete interior (t1, t2) violating the constraint by at least slack/2.
 
@@ -106,31 +86,42 @@ def _witness_points(f: PiecewiseDensity, i: int, j: int, slack: Fraction):
     return t1, t2
 
 
-def check_tv(f: PiecewiseDensity) -> MembershipReport:
-    """Does TV over (t1, t2) stay <= f(t1) + f(t2) for all 0 < t1 < t2 < T?
+def _tv_violation(f: PiecewiseDensity, drop: int) -> Optional[tuple[Fraction, Fraction]]:
+    """First (t1, t2) with TV over (t1, t2) > f(t1) + f(t2) - drop, or None.
 
     Within a cell pair the margin f(t1) + f(t2) - TV(t1, t2) is affine in t1
     with slope q1 + |q1| >= 0 and affine in t2 with slope q2 - |q2| <= 0, so
     its infimum over all pairs is attained in the limit at cell left ends
     (cadlag values) and cell right ends (left limits). A running minimum over
     the left candidates makes the scan linear in the number of cells.
+
+    f - c has the variation of f and values lowered by c, so drop = 2c runs
+    the scan for f - c without building it.
     """
-    S, J = _tv_prefixes(f)
     bp = f.breakpoints
-    best = None  # (f(x_{i-1}) + S[i-1] + J[i-1], i) running minimum
-    for j in range(1, f.k + 1):
-        p, q = f.segments[j - 1]
+    var = Fraction(0)  # TV over (0, x_{j-1}]: slopes of cells 1..j-1, jumps at x_1..x_{j-1}
+    best = None  # (f(x_{i-1}) + TV over (0, x_{i-1}], i) running minimum
+    right_val = None
+    for j, (p, q) in enumerate(f.segments, 1):
         left_val = p + q * bp[j - 1]
-        cand = left_val + S[j - 1] + J[j - 1]
+        if right_val is not None:
+            var += abs(left_val - right_val)
+        cand = left_val + var
         if best is None or cand < best[0]:
             best = (cand, j)
+        var += abs(q) * (bp[j] - bp[j - 1])
         right_val = p + q * bp[j]  # f(x_j-)
-        margin = best[0] + right_val - (S[j] + J[j - 1])
+        margin = best[0] + right_val - var - drop
         if margin < 0:
-            t1, t2 = _witness_points(f, best[1], j, -margin)
-            return MembershipReport(
-                VERDICT_NON_MEMBER, ("variation-bound",), (t1, t2)
-            )
+            return _witness_points(f, best[1], j, -margin)
+    return None
+
+
+def check_tv(f: PiecewiseDensity) -> MembershipReport:
+    """Does TV over (t1, t2) stay <= f(t1) + f(t2) for all 0 < t1 < t2 < T?"""
+    witness = _tv_violation(f, 0)
+    if witness is not None:
+        return MembershipReport(VERDICT_NON_MEMBER, ("variation-bound",), witness)
     return MembershipReport(VERDICT_MEMBER)
 
 
@@ -142,8 +133,9 @@ def check_tv_prime(f: PiecewiseDensity) -> MembershipReport:
     (q_first + |q_first|) + (|q_last| - q_last) >= 0, so the condition holds
     iff it holds in the limit t -> 0+.
     """
-    S, J = _tv_prefixes(f)
-    tv_full = S[f.k] + J[f.k - 1]  # cells 1..k plus the jumps between them
+    # TV over (0, T): the slopes of cells 1..k plus the jumps between them
+    cells = zip(zip(f.breakpoints, f.breakpoints[1:]), f.segments)
+    tv_full = sum(abs(q) * (b - a) for (a, b), (_, q) in cells) + sum(abs(jump) for jump in f.jumps())
     (p_first, _), (p_last, q_last) = f.segments[0], f.segments[-1]
     margin = p_first + (p_last + q_last * f.T) - tv_full  # f(0+) + f(T-) - TV over (0, T)
     if margin < 0:
@@ -162,23 +154,6 @@ def check_tv_prime(f: PiecewiseDensity) -> MembershipReport:
 # --- extreme classes ---
 
 
-def _has_truncation(law: LocationLaw) -> bool:
-    """Is all mass confined to [0, t] or [t, T] for some interior t?"""
-    if law.atomInf > 0:
-        return False
-    f, T = law.density, law.T
-    if law.atomT == 0:
-        # mass in [0, t]: f must vanish on some (t, T)
-        p, q = f.segments[-1]
-        if p + q * f.breakpoints[-2] == 0 and q == 0:
-            return True
-    if law.atom0 == 0:
-        p, q = f.segments[0]
-        if p == 0 and q == 0:
-            return True
-    return False
-
-
 def _min_value(f: PiecewiseDensity) -> Fraction:
     return min(
         min(p + q * a, p + q * b)
@@ -186,8 +161,29 @@ def _min_value(f: PiecewiseDensity) -> Fraction:
     )
 
 
-def _minus_one(f: PiecewiseDensity) -> PiecewiseDensity:
-    return PiecewiseDensity(f.breakpoints, tuple((p - 1, q) for p, q in f.segments))
+def _et_violations(
+    f: PiecewiseDensity, atom0: Fraction, atomT: Fraction, atomInf: Fraction
+) -> list[tuple[str, object]]:
+    """The ET conditions (see check_class) that f with these atoms violates,
+    in order, each with its witness; empty for a member of ET."""
+    violations: list[tuple[str, object]] = []
+    if not f.is_integer_step():
+        violations.append(("integer-values", "density takes non-integer values"))
+    tv = check_tv(f)
+    if not tv.is_member:
+        violations.append(("variation-bound", tv.witness))
+    # truncated: all mass in [0, t] or [t, T] for some interior t
+    truncated = atomInf == 0 and (
+        (atomT == 0 and f.segments[-1] == (0, 0)) or (atom0 == 0 and f.segments[0] == (0, 0))
+    )
+    if atomInf < 1 and not truncated:
+        if _min_value(f) < 1:
+            violations.append(("lower-bound", "density drops below 1 without truncation"))
+        elif atomInf > 0:
+            witness = _tv_violation(f, 2)
+            if witness is not None:
+                violations.append(("variation-bound-minus-one", witness))
+    return violations
 
 
 def check_class(law: LocationLaw, cls: str) -> MembershipReport:
@@ -205,46 +201,20 @@ def check_class(law: LocationLaw, cls: str) -> MembershipReport:
     except KeyError:
         raise ValueError(f"unknown class {cls!r}") from None
     f = law.density
-    violated: list[str] = []
-    witness = None
-
-    if not f.is_integer_step():
-        violated.append("integer-values")
-        witness = witness or "density takes non-integer values"
-    tv = check_tv(f)
-    if not tv.is_member:
-        violated.append("variation-bound")
-        witness = witness or tv.witness
-
-    mass_on_interval = 1 - law.atomInf
-    needs_lower_bound = mass_on_interval > 0 and not _has_truncation(law)
-    if needs_lower_bound and _min_value(f) < 1:
-        violated.append("lower-bound")
-        witness = witness or "density drops below 1 without truncation"
-    if needs_lower_bound and law.atomInf > 0 and _min_value(f) >= 1:
-        tv1 = check_tv(_minus_one(f))
-        if not tv1.is_member:
-            violated.append("variation-bound-minus-one")
-            witness = witness or tv1.witness
-
-    if cls in ("E1T",):
+    violations = _et_violations(f, law.atom0, law.atomT, law.atomInf)
+    if cls == "E1T":
         if law.atomInf != 0:
-            violated.append("infinity-mass")
-            witness = witness or f"atomInf={law.atomInf} != 0"
-        if _min_value(f) < 1:
-            if "lower-bound" not in violated:
-                violated.append("lower-bound")
-            witness = witness or "density drops below 1"
+            violations.append(("infinity-mass", f"atomInf={law.atomInf} != 0"))
+        if all(c != "lower-bound" for c, _ in violations) and _min_value(f) < 1:
+            violations.append(("lower-bound", "density drops below 1"))
     if cls == "EMT":
         if not f.is_decreasing():
-            violated.append("not-decreasing")
-            witness = witness or "density increases somewhere"
+            violations.append(("not-decreasing", "density increases somewhere"))
         if law.atomT != 0:
-            violated.append("atom-at-T")
-            witness = witness or f"atomT={law.atomT} != 0"
+            violations.append(("atom-at-T", f"atomT={law.atomT} != 0"))
 
-    if violated:
-        return MembershipReport(VERDICT_NON_MEMBER, tuple(violated), witness)
+    if violations:
+        return MembershipReport(VERDICT_NON_MEMBER, tuple(c for c, _ in violations), violations[0][1])
     return MembershipReport(VERDICT_MEMBER)
 
 
@@ -349,53 +319,67 @@ def _phase1_simplex(A: list[list[Fraction]], b: list[Fraction]):
     return x
 
 
+def _value_vectors(lens: list[Fraction], max_level: int):
+    """(values, m) for every integer vector in [0, max_level]^k with leftover
+    mass m = 1 - sum of value * cell length >= 0, in lexicographic order.
+
+    Values are >= 0, so a prefix with m < 0 has no vector to extend to, and
+    neither has the same prefix with a larger last value: both are skipped.
+    """
+    def extend(prefix: tuple[int, ...], m: Fraction):
+        if len(prefix) == len(lens):
+            yield prefix, m
+            return
+        length = lens[len(prefix)]
+        for v in range(max_level + 1):
+            rest = m - v * length
+            if rest < 0:
+                return
+            yield from extend(prefix + (v,), rest)
+
+    return extend((), Fraction(1))
+
+
 def hull_membership_lp(law: LocationLaw) -> Union[HullCertificate, MembershipReport]:
     """Search for an exact convex decomposition into extreme laws.
 
     Candidates are integer step densities on the input's breakpoints with
     values up to ceil(sup f) + 1 and interior mass at most 1, each with its
     leftover mass m on one atom (all three atoms zero when m = 0), filtered
-    through check_class(ET). A split of m over several atoms is a mixture of
-    these: check_class reads the atoms only through which of them are zero,
-    and zeroing atoms adds no condition. Feasibility of the exact equality LP
-    yields a certificate; infeasibility yields non-member only when the
-    forced-envelope argument applies, otherwise unknown.
+    by the ET conditions. A split of m over several atoms is a mixture of
+    these: the ET conditions read the atoms only through which of them are
+    zero, and zeroing atoms adds no condition. Feasibility of the exact
+    equality LP yields a certificate; infeasibility yields non-member only
+    when the forced-envelope argument applies, otherwise unknown.
 
-    HULL_CANDIDATE_CAP bounds the number of candidates enumerated (each costs
-    one check_class call), accepted or not; a search that would enumerate
-    more returns unknown with the reason "enumeration-capped".
+    HULL_CANDIDATE_CAP bounds the number of candidates enumerated (each one
+    a check of the ET conditions on its value vector and atoms), accepted or
+    not; a search that would enumerate more returns unknown with the reason
+    "enumeration-capped". Only accepted candidates become laws.
     """
     f = law.density
     if not f.is_step():
         raise ValueError("hull test supports step densities only")
-    direct = check_class(law, "ET")
-    if direct.is_member:
+    if check_class(law, "ET").is_member:
         return HullCertificate(((law, Fraction(1)),))
     max_level = ceil(f.sup()) + 1
 
     lens = [b - a for a, b in zip(f.breakpoints, f.breakpoints[1:])]
     zero = Fraction(0)
-    pairs = (
-        (values, atoms)
-        for values in product(range(max_level + 1), repeat=f.k)
-        if (m := 1 - sum(v * l for v, l in zip(values, lens))) >= 0
-        for atoms in (((zero, zero, m), (zero, m, zero), (m, zero, zero)) if m else ((m, m, m),))
-    )
     candidates: list[LocationLaw] = []
-    for enumerated, (values, atoms) in enumerate(pairs):
-        if enumerated == HULL_CANDIDATE_CAP:
-            return MembershipReport(
-                VERDICT_UNKNOWN,
-                ("enumeration-capped",),
-                f"candidate cap {HULL_CANDIDATE_CAP} reached",
-            )
-        cand = LocationLaw(
-            law.T,
-            make_step_density(f.breakpoints, [Fraction(v) for v in values]),
-            *atoms,
-        )
-        if check_class(cand, "ET").is_member:
-            candidates.append(cand)
+    enumerated = 0
+    for values, m in _value_vectors(lens, max_level):
+        density = make_step_density(f.breakpoints, values)
+        for atoms in ((zero, zero, m), (zero, m, zero), (m, zero, zero)) if m else ((m, m, m),):
+            if enumerated == HULL_CANDIDATE_CAP:
+                return MembershipReport(
+                    VERDICT_UNKNOWN,
+                    ("enumeration-capped",),
+                    f"candidate cap {HULL_CANDIDATE_CAP} reached",
+                )
+            enumerated += 1
+            if not _et_violations(density, *atoms):
+                candidates.append(LocationLaw(law.T, density, *atoms))
 
     if candidates:
         # equality constraints: each cell value, each atom, total weight

@@ -29,29 +29,6 @@ from .density import (
 )
 
 
-def _clipped_mass(f: PiecewiseDensity, c: Fraction) -> Fraction:
-    """Integral of min((f - c)_+, 1) over (0, T), exact."""
-    total = Fraction(0)
-    for (a, b), (p, q) in zip(zip(f.breakpoints, f.breakpoints[1:]), f.segments):
-        cuts = {a, b}
-        if q != 0:
-            for level in (c, c + 1):
-                t = (level - p) / q
-                if a < t < b:
-                    cuts.add(t)
-        pts = sorted(cuts)
-        for lo, hi in zip(pts, pts[1:]):
-            v_lo, v_hi = p + q * lo, p + q * hi
-            mid = (v_lo + v_hi) / 2
-            if mid <= c:
-                continue
-            if mid >= c + 1:
-                total += hi - lo
-            else:
-                total += ((v_lo - c) + (v_hi - c)) / 2 * (hi - lo)
-    return total
-
-
 @dataclass(frozen=True)
 class ComponentCDF:
     """F_i(x) = min{(i - f(x))_+, 1} for x > 0: one layer of the density.
@@ -148,25 +125,24 @@ def component_distributions(f: PiecewiseDensity, T: Rational) -> MixProblem:
     if not f.is_decreasing():
         raise ValueError("component split needs a decreasing density")
     N = math.ceil(f.value(0))
+    inv = [_generalized_inverse(f, Fraction(i)) for i in range(N + 1)]
     comps = []
     for i in range(1, N + 1):
-        comps.append(
-            ComponentCDF(
-                f=f,
-                i=i,
-                lo=_generalized_inverse(f, Fraction(i)),
-                hi=_generalized_inverse(f, Fraction(i - 1)),
-                mean=_clipped_mass(f, Fraction(i - 1)),
-            )
-        )
+        lo, hi = inv[i], inv[i - 1]
+        # min((f - (i - 1))_+, 1) is 1 on (0, lo), f - (i - 1) on (lo, hi), 0 after
+        mean = lo + integral(f, lo, hi) - (i - 1) * (hi - lo)
+        comps.append(ComponentCDF(f=f, i=i, lo=lo, hi=hi, mean=mean))
     problem = MixProblem(T=T, f=f, N=N, components=tuple(comps))
     if sum(problem.means, Fraction(0)) != integral(f, 0, f.T):
         raise RuntimeError("component means do not sum to the density's mass")
     return problem
 
 
-def _inverses(f: PiecewiseDensity, N: int) -> list[Fraction]:
-    return [_generalized_inverse(f, Fraction(i)) for i in range(N + 1)]
+def _inverses(problem: MixProblem) -> list[Fraction]:
+    """f^{-1}(0), ..., f^{-1}(N), read off the layer ends."""
+    if not problem.components:
+        return [Fraction(0)]
+    return [problem.components[0].hi] + [c.lo for c in problem.components]
 
 
 def certify_convex(f: PiecewiseDensity, T: Rational) -> Optional[Certificate]:
@@ -175,7 +151,7 @@ def certify_convex(f: PiecewiseDensity, T: Rational) -> Optional[Certificate]:
     problem = component_distributions(f, T)
     if not f.is_convex():
         return None
-    inv = _inverses(f, problem.N)
+    inv = _inverses(problem)
     lhs = sum(inv, Fraction(0))
     rhs = 1 + (inv[1] if problem.N >= 1 else Fraction(0))
     if lhs > rhs:
@@ -209,7 +185,7 @@ def certify_gap(f: PiecewiseDensity, T: Rational) -> Optional[Certificate]:
     """Certified when the largest component support width does not exceed
     1 - integral of f."""
     problem = component_distributions(f, T)
-    inv = _inverses(f, problem.N)
+    inv = _inverses(problem)
     gap = max((inv[i - 1] - inv[i] for i in range(1, problem.N + 1)), default=Fraction(0))
     budget = 1 - integral(f, 0, f.T)
     if gap > budget:

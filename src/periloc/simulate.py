@@ -11,14 +11,15 @@ whole, and its interior samples are a node or hit time less the shifts.
 The sup and truncated-sup engines place every cut exactly: the node cuts,
 and inside a run the roots of the affine differences between the path at
 the window ends, the highest inside node and 1/2, map to shift indices in
-integer arithmetic, and each index range is classified in integers. So they
-count every shift as the exact locators do at its exact value, ties
-included; only the interior values are floats. The first-hit and last-hit
-engines cut the float shifts at rounded hit positions, and have one known
-fault: a first hit exactly at the window end, or a last hit exactly at the
-window start, is counted as an interior sample (at T or at 0) instead of an
-atom. Any other callable, the bare functions of paths such as sup_location
-included, is evaluated exactly per shift, in rationals.
+integer arithmetic, and each index range is classified in integers. The
+first-hit engine maps the exact hit interval ends, and those ends less T,
+to shift indices the same way. So these engines count every shift as the
+exact locators do at its exact value, ties included; only the interior
+values are floats. The last-hit engine cuts the float shifts at rounded hit
+positions, and has one known fault: a last hit exactly at the window start
+is counted as an interior sample at 0 instead of an atom. Any other
+callable, the bare functions of paths such as sup_location included, is
+evaluated exactly per shift, in rationals.
 """
 from __future__ import annotations
 
@@ -115,7 +116,7 @@ class _Grid(_Shifts):
         return (np.arange(self.n) + 0.5) / self.n
 
     def _u_slice(self, s: int, e: int, buf: np.ndarray) -> np.ndarray:
-        """u[s:e], computed into buf unless a hit engine built the grid."""
+        """u[s:e], computed into buf unless the last-hit engine built the grid."""
         if "u" in self.__dict__:
             return self.u[s:e]
         np.add(np.arange(s, e, dtype=float), 0.5, out=buf)
@@ -282,39 +283,51 @@ def _sweep_sup(g: PiecewiseLinearPath, shifts: _Shifts, T: Fraction, truncated: 
     return (*counts, pieces)
 
 
-def _hit_intervals(g: PiecewiseLinearPath, level: Fraction):
+def _two_period_hits(g: PiecewiseLinearPath, level: Fraction) -> tuple[list[Fraction], list[Fraction]]:
     """Merged intervals {t in [0, 2]: g(t) == level} (points as zero-width),
     from the path's exact hit intervals on [0, 1] and their copies one period
-    on; the ends are rounded from their exact values."""
+    on: their starts and their ends, exact."""
     starts, ends = hit_intervals(g, level)
     lo = starts + [s + 1 for s in starts]
     hi = ends + [e + 1 for e in ends]
     if starts and ends[-1] == 1:  # g(0) == g(1) == level: the copies join at 1
         del lo[len(starts)], hi[len(starts) - 1]
+    return lo, hi
+
+
+def _hit_intervals(g: PiecewiseLinearPath, level: Fraction):
+    """_two_period_hits with the ends rounded from their exact values."""
+    lo, hi = _two_period_hits(g, level)
     return np.array([float(x) for x in lo]), np.array([float(x) for x in hi])
 
 
-def _sweep_first_hit(g, u: np.ndarray, T: float, level: Fraction):
-    """Counts (zero, T, inf) and interior pieces of first_hit; u sorted
-    ascending.
+def _sweep_first_hit(g, shifts: _Shifts, T: Fraction, level: Fraction):
+    """Counts (zero, T, inf) and interior pieces of first_hit.
 
-    The shifts u[ends[k-1]:ends[k]] have the hit interval k as the first one
-    ending at or after u. Within that run the window misses the interval, then
-    reaches it, then starts inside it, so three slices classify the run.
+    The shifts from the first past the end of hit interval k-1 to the first
+    past the end of interval k have interval k as the first one ending at or
+    after u. Within that run the window misses the interval, then ends at
+    its start s (u = s - T, an atom at T), then reaches past it, then starts
+    inside it, so four slices classify the run; shifts.bounds places every
+    cut exactly.
     """
-    HL, HH = _hit_intervals(g, level)
-    ends = np.searchsorted(u, HH, side="right").tolist()
-    reach = np.searchsorted(u + T, HL, side="left").tolist()  # first u with HL <= u + T
-    inside = np.searchsorted(u, HL, side="left").tolist()  # first u with HL <= u
-    count0, pieces, a = 0, [], 0
-    for k, b in enumerate(ends):
-        r = min(max(reach[k], a), b)
-        z = min(max(inside[k], a), b)
-        if r < z:
-            pieces.append((HL[k], r, z))
+    if T <= 0:
+        raise ValueError(f"a hit window needs T > 0, got T = {T}")
+    lo, hi = _two_period_hits(g, level)
+    count0 = countT = 0
+    pieces, a = [], 0
+    for s, e in zip(lo, hi):
+        b = shifts.bounds(e.numerator, e.denominator)[1]
+        x = s - T
+        r, w = (min(max(i, a), b) for i in shifts.bounds(x.numerator, x.denominator))
+        z = min(max(shifts.bounds(s.numerator, s.denominator)[0], a), b)
+        countT += w - r
+        if w < z:
+            pieces.append((float(s), w, z))
         count0 += b - z
         a = b
-    return count0, 0, len(u) - count0 - sum(e - s for _, s, e in pieces), pieces
+    countInf = shifts.n - count0 - countT - sum(e - s for _, s, e in pieces)
+    return count0, countT, countInf, pieces
 
 
 def _sweep_last_hit(g, u: np.ndarray, T: float, level: Fraction):
@@ -372,7 +385,7 @@ def _sample_law(g: PiecewiseLinearPath, locator: Union[str, Callable], T_rat: Fr
     else:
         loc = locator.route(g)
         if loc.kind == "first-hit":
-            out = _sweep_first_hit(g, shifts.u, float(T_rat), loc.level)
+            out = _sweep_first_hit(g, shifts, T_rat, loc.level)
         elif loc.kind == "last-hit":
             out = _sweep_last_hit(g, shifts.u, float(T_rat), loc.level)
         else:
@@ -395,13 +408,14 @@ def sweep_law(
     Deterministic and reproducible bit-exactly for a fixed (path, locator,
     grid) triple. A Locator or a locator name costs O(E log E) for its E node
     or hit events (a few per path node), plus filling and a stable sort of
-    the interior samples; the hit engines also build the float grid, O(n).
-    The sup and truncated-sup engines count every shift as the exact locator
-    does at u = (2i+1)/(2n), exact ties included. The hit engines do not:
-    midpoints do not keep every shift off a classification boundary (on an
-    odd grid u = 1/2 is a shift), and a hit that lies exactly at a window
-    end is misclassified (see the module docstring). Any other callable is
-    evaluated exactly at every shift.
+    the interior samples; the last-hit engine also builds the float grid,
+    O(n). The sup, truncated-sup and first-hit engines count every shift as
+    the exact locator does at u = (2i+1)/(2n), exact ties included. The
+    last-hit engine does not: midpoints do not keep every shift off a
+    classification boundary (on an odd grid u = 1/2 is a shift), and a last
+    hit that lies exactly at the window start is misclassified (see the
+    module docstring). Any other callable is evaluated exactly at every
+    shift.
     """
     T_rat = as_rat(T)
     if grid_n < 1:

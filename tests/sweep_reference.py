@@ -1,11 +1,11 @@
 """Per-shift reference copies of the vectorized sweep engines and of compare.
 
-The hit engines are as they were before the run-based rewrite: every shift
+The last-hit engine is as it was before the run-based rewrite: every shift
 is searched into the hit intervals, which are merged here from every affine
-piece of two periods, apart from the path's own hit table. The sup engine
-classifies every shift with the exact locator at its exact value, (2i+1)/(2n)
-on the grid and Fraction(u) for a Monte Carlo shift, and takes the interior
-value in floats, node time less shift. compare gathers per-sample cell data.
+piece of two periods, apart from the path's own hit table. The sup and
+first-hit engines classify every shift with the exact locator at its exact
+value, (2i+1)/(2n) on the grid and Fraction(u) for a Monte Carlo shift, and
+take the interior value in floats, node or hit time less shift. compare gathers per-sample cell data.
 The library must reproduce them byte for byte (tests/test_simulate.py).
 """
 
@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from periloc.paths import INFINITY, sup_location, truncated_sup_location
+from periloc.paths import INFINITY, first_hit, sup_location, truncated_sup_location
 from periloc.simulate import ComparisonReport, EmpiricalLaw, _interior_cdf_table
 
 _CODE_INTERIOR = 0
@@ -73,22 +73,20 @@ def sweep_sup(g, u, shifts, T, truncated):
     return codes, values
 
 
-def sweep_first_hit(g, u, T, level):
-    HL, HH = hit_intervals(g, level)
+def sweep_first_hit(g, u, shifts, T, level):
     n = len(u)
-    codes = np.full(n, _CODE_INF, dtype=np.int8)
+    codes = np.full(n, _CODE_INTERIOR, dtype=np.int8)
     values = np.zeros(n)
-    if len(HL) == 0:
-        return codes, values
-    idx = np.searchsorted(HH, u, side="left")  # first interval ending at/after u
-    valid = idx < len(HL)
-    idx_c = np.minimum(idx, len(HL) - 1)
-    inside = valid & (HL[idx_c] <= u)
-    starts = HL[idx_c] - u
-    reachable = valid & ~inside & (HL[idx_c] <= u + T)
-    codes[inside] = _CODE_ZERO
-    codes[reachable] = _CODE_INTERIOR
-    values[reachable] = starts[reachable]
+    for i, x in enumerate(shifts):
+        pos = first_hit(g, level, x, x + T)
+        if pos == INFINITY:
+            codes[i] = _CODE_INF
+        elif pos == x:
+            codes[i] = _CODE_ZERO
+        elif pos == x + T:
+            codes[i] = _CODE_T
+        else:
+            values[i] = float(pos) - u[i]
     return codes, values
 
 
@@ -126,8 +124,9 @@ def run_engine(g, name: str, u, shifts, T: Fraction):
     if name == "truncated-sup":
         return sweep_sup(g, u, shifts, T, truncated=True)
     kind, level = name.split(":")
-    engine = sweep_first_hit if kind == "first-hit" else sweep_last_hit
-    return engine(g, u, float(T), Fraction(level))
+    if kind == "first-hit":
+        return sweep_first_hit(g, u, shifts, T, Fraction(level))
+    return sweep_last_hit(g, u, float(T), Fraction(level))
 
 
 def collect(T_rat, codes, values):

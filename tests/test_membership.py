@@ -27,7 +27,8 @@ from periloc.membership import (
     hull_membership_lp,
 )
 
-from test_density import integer_step_densities, step_densities
+import membership_reference as ref
+from test_density import integer_step_densities, piecewise_densities, step_densities
 
 
 # --- condition (TV) ---
@@ -237,8 +238,8 @@ class TestHullMembership:
         assert "enumeration-capped" in rep.violated_conditions
 
     def test_cap_counts_rejected_candidates(self, monkeypatch):
-        # 601 candidates are enumerated and 121 pass check_class, so a cap of
-        # 300 must stop the search even though few are accepted
+        # 601 candidates are enumerated and 121 pass the ET conditions, so a
+        # cap of 300 must stop the search even though few are accepted
         monkeypatch.setattr(membership, "HULL_CANDIDATE_CAP", 300)
         rep = hull_membership_lp(FOUR_CELL_LAW)
         assert isinstance(rep, MembershipReport)
@@ -249,13 +250,14 @@ class TestHullMembership:
         # each value vector puts its leftover mass on one atom at a time:
         # the law itself, then 601 candidates, 121 of them extreme
         calls = []
+        et_violations = membership._et_violations
 
-        def counting_check_class(law, cls):
-            rep = check_class(law, cls)
-            calls.append(rep.is_member)
-            return rep
+        def counting_et_violations(f, atom0, atomT, atomInf):
+            violations = et_violations(f, atom0, atomT, atomInf)
+            calls.append(not violations)
+            return violations
 
-        monkeypatch.setattr(membership, "check_class", counting_check_class)
+        monkeypatch.setattr(membership, "_et_violations", counting_et_violations)
         rep = hull_membership_lp(FOUR_CELL_LAW)
         assert rep.verdict == "unknown"
         assert rep.violated_conditions == ("no-certificate-in-family",)
@@ -282,6 +284,30 @@ class TestHullMembership:
             # a certificate, if found, must be exact and extreme
             for comp, _ in out.components:
                 assert check_class(comp, "ET").is_member
+
+    def test_seven_cells_answer_without_walking_every_vector(self):
+        # 9^7 value vectors, 3,432 of them with interior mass <= 1: only
+        # those are walked, so the certificate comes back in seconds
+        law = step_law(1, [F(i, 7) for i in range(8)], [F(13, 2)] + [0] * 6, atom0=F(1, 14))
+        cert = hull_membership_lp(law)
+        assert isinstance(cert, HullCertificate)
+        assert [(c.density.segments[0][0], c.atom0, w) for c, w in cert.components] == [
+            (6, F(1, 7), F(1, 2)),
+            (7, 0, F(1, 2)),
+        ]
+
+    @given(
+        st.lists(st.integers(1, 12).map(lambda n: F(n, 12)), min_size=1, max_size=4),
+        st.integers(0, 5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_value_vectors_are_the_filtered_product(self, lens, max_level):
+        expected = [
+            (values, m)
+            for values in product(range(max_level + 1), repeat=len(lens))
+            if (m := 1 - sum(v * l for v, l in zip(values, lens))) >= 0
+        ]
+        assert list(membership._value_vectors(lens, max_level)) == expected
 
     @given(st.integers(1, 3), st.integers(0, 2))
     @settings(max_examples=30, deadline=None)
@@ -404,3 +430,64 @@ class TestOneAtomCandidates:
                 assert res.verdict == "unknown"
                 assert res.violated_conditions == ("no-certificate-in-family",)
         assert all(outcomes.values()), outcomes
+
+
+# --- the same reports and certificates as the law-level reference ---
+
+
+@st.composite
+def laws_with_atoms(draw):
+    """Step densities with integer or quarter values and sloped densities,
+    the leftover mass spread over a drawn nonempty set of atoms."""
+    f = draw(
+        st.one_of(
+            integer_step_densities(max_cells=4, max_value=2),
+            step_densities(max_cells=4, max_value=2),
+            piecewise_densities(max_cells=4),
+        )
+    )
+    m = 1 - integral(f, 0, f.T)
+    assume(m >= 0)
+    used = draw(st.sampled_from([u for u in product((0, 1), repeat=3) if any(u)]))
+    shares = [draw(st.integers(1, 3)) * u for u in used]
+    return LocationLaw(f.T, f, *(m * s / sum(shares) for s in shares))
+
+
+class TestMatchesReference:
+    @given(laws_with_atoms())
+    @settings(max_examples=600, deadline=None)
+    def test_class_reports(self, law):
+        for cls in ("ET", "E1T", "EMT"):
+            assert repr(check_class(law, cls)) == repr(ref.check_class(law, cls))
+        assert repr(check_tv(law.density)) == repr(ref.check_tv(law.density))
+        assert repr(check_tv_prime(law.density)) == repr(ref.check_tv_prime(law.density))
+
+    def test_class_reports_cover_every_condition(self):
+        # each ET condition, the minus-one one included, and a member law
+        laws = [
+            step_law(F(1, 2), [0, F(1, 2)], [F(3, 2)], atom0=F(1, 4)),
+            step_law(1, [0, F(1, 2), 1], [0, 1], atom0=F(1, 2)),
+            step_law(F(1, 2), [0, F(1, 8), F(1, 4), F(1, 2)], [1, 2, 1], atomInf=F(3, 8)),
+            step_law(F(1, 2), [0, F(1, 4), F(1, 2)], [1, 1], atomInf=F(1, 2)),
+            # f - 1 = (0, 1/2, 0) has margin -1: a violation only with the drop of 2
+            step_law(F(1, 2), [0, F(1, 6), F(1, 3), F(1, 2)], [1, F(3, 2), 1], atomInf=F(5, 12)),
+            step_law(F(1, 2), [0, F(1, 2)], [0], atomInf=1),
+            step_law(1, [0, F(1, 4), F(1, 2), 1], [0, 1, 0], atomInf=F(3, 4)),
+        ]
+        seen = set()
+        for law in laws:
+            for cls in ("ET", "E1T", "EMT"):
+                rep = check_class(law, cls)
+                assert repr(rep) == repr(ref.check_class(law, cls))
+                seen.update(rep.violated_conditions or ("member",))
+        assert {"integer-values", "variation-bound", "lower-bound", "variation-bound-minus-one", "member"} <= seen
+
+    def test_hull_results(self):
+        laws = _small_step_laws(60, seed=2016) + list(FORCED_ENVELOPE_LAWS) + [FOUR_CELL_LAW]
+        for law in laws:
+            assert repr(hull_membership_lp(law)) == repr(ref.hull_membership_lp(law)), law
+
+    def test_capped_hull_results(self, monkeypatch):
+        for cap in (0, 1, 300, 601):
+            monkeypatch.setattr(membership, "HULL_CANDIDATE_CAP", cap)
+            assert repr(hull_membership_lp(FOUR_CELL_LAW)) == repr(ref.hull_membership_lp(FOUR_CELL_LAW))

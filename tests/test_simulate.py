@@ -152,16 +152,16 @@ class TestWindowEndFault:
         emp = sweep_law(g, "last-hit:2", F(5, 6), 997)
         assert (emp.count0, emp.countT, emp.countInf) == (1, 0, 166)
 
+
+class TestFirstHitAtWindowEnd:
     # hypothesis draws of TestEngineMatchesExactLocators: on the odd grid 53
     # the shift 1/2 has its window end at a hit, which exact evaluation
     # counts as an atom at T
-    @pytest.mark.xfail(strict=True, reason="a hit exactly at a window end is classified as interior")
     def test_composite_first_hit_at_window_end_is_an_atom(self):
         g = PiecewiseLinearPath(((0, -1), (F(1, 40), 0), (1, -1)))
         emp = sweep_law(g, "composite", F(1, 2), 53)
         assert (emp.count0, emp.countT, emp.countInf) == (0, 1, 26)
 
-    @pytest.mark.xfail(strict=True, reason="a hit exactly at a window end is classified as interior")
     def test_first_hit_at_window_end_is_an_atom(self):
         g = PiecewiseLinearPath(((0, F(1, 2)), (F(2, 5), F(-3, 2)), (F(17, 40), 0), (1, F(1, 2))))
         emp = sweep_law(g, "first-hit:-1", F(4, 5), 53)
