@@ -154,36 +154,34 @@ def check_tv_prime(f: PiecewiseDensity) -> MembershipReport:
 # --- extreme classes ---
 
 
-def _min_value(f: PiecewiseDensity) -> Fraction:
-    return min(
-        min(p + q * a, p + q * b)
-        for (a, b), (p, q) in zip(zip(f.breakpoints, f.breakpoints[1:]), f.segments)
-    )
-
-
-def _et_violations(
-    f: PiecewiseDensity, atom0: Fraction, atomT: Fraction, atomInf: Fraction
-) -> list[tuple[str, object]]:
-    """The ET conditions (see check_class) that f with these atoms violates,
-    in order, each with its witness; empty for a member of ET."""
+def _density_violations(f: PiecewiseDensity) -> tuple[list[tuple[str, object]], Fraction]:
+    """The ET conditions (see check_class) that read only f, each with its
+    witness, in order, and f's minimum value."""
     violations: list[tuple[str, object]] = []
     if not f.is_integer_step():
         violations.append(("integer-values", "density takes non-integer values"))
     tv = check_tv(f)
     if not tv.is_member:
         violations.append(("variation-bound", tv.witness))
+    cells = zip(zip(f.breakpoints, f.breakpoints[1:]), f.segments)
+    low = min(min(p + q * a, p + q * b) for (a, b), (p, q) in cells)
+    return violations, low
+
+
+def _atom_violations(f: PiecewiseDensity, low: Fraction, atoms: tuple) -> list[tuple[str, object]]:
+    """The ET conditions (see check_class) that read the atoms (atom0, atomT,
+    atomInf), given f's minimum value low: at most one, with its witness."""
+    atom0, atomT, atomInf = atoms
     # truncated: all mass in [0, t] or [t, T] for some interior t
     truncated = atomInf == 0 and (
         (atomT == 0 and f.segments[-1] == (0, 0)) or (atom0 == 0 and f.segments[0] == (0, 0))
     )
-    if atomInf < 1 and not truncated:
-        if _min_value(f) < 1:
-            violations.append(("lower-bound", "density drops below 1 without truncation"))
-        elif atomInf > 0:
-            witness = _tv_violation(f, 2)
-            if witness is not None:
-                violations.append(("variation-bound-minus-one", witness))
-    return violations
+    if atomInf >= 1 or truncated:
+        return []
+    if low < 1:
+        return [("lower-bound", "density drops below 1 without truncation")]
+    witness = _tv_violation(f, 2) if atomInf > 0 else None
+    return [] if witness is None else [("variation-bound-minus-one", witness)]
 
 
 def check_class(law: LocationLaw, cls: str) -> MembershipReport:
@@ -201,11 +199,12 @@ def check_class(law: LocationLaw, cls: str) -> MembershipReport:
     except KeyError:
         raise ValueError(f"unknown class {cls!r}") from None
     f = law.density
-    violations = _et_violations(f, law.atom0, law.atomT, law.atomInf)
+    violations, low = _density_violations(f)
+    violations += _atom_violations(f, low, (law.atom0, law.atomT, law.atomInf))
     if cls == "E1T":
         if law.atomInf != 0:
             violations.append(("infinity-mass", f"atomInf={law.atomInf} != 0"))
-        if all(c != "lower-bound" for c, _ in violations) and _min_value(f) < 1:
+        if all(c != "lower-bound" for c, _ in violations) and low < 1:
             violations.append(("lower-bound", "density drops below 1"))
     if cls == "EMT":
         if not f.is_decreasing():
@@ -352,10 +351,11 @@ def hull_membership_lp(law: LocationLaw) -> Union[HullCertificate, MembershipRep
     equality LP yields a certificate; infeasibility yields non-member only
     when the forced-envelope argument applies, otherwise unknown.
 
-    HULL_CANDIDATE_CAP bounds the number of candidates enumerated (each one
-    a check of the ET conditions on its value vector and atoms), accepted or
-    not; a search that would enumerate more returns unknown with the reason
-    "enumeration-capped". Only accepted candidates become laws.
+    The conditions on the density alone run once per value vector, those on
+    the atoms once per placement whose density passed; only the certificate's
+    components become laws. HULL_CANDIDATE_CAP bounds the (vector, placement)
+    pairs enumerated, accepted or not; a search that would enumerate more
+    returns unknown with the reason "enumeration-capped".
     """
     f = law.density
     if not f.is_step():
@@ -366,10 +366,11 @@ def hull_membership_lp(law: LocationLaw) -> Union[HullCertificate, MembershipRep
 
     lens = [b - a for a, b in zip(f.breakpoints, f.breakpoints[1:])]
     zero = Fraction(0)
-    candidates: list[LocationLaw] = []
+    candidates: list[tuple[PiecewiseDensity, tuple[Fraction, Fraction, Fraction]]] = []
     enumerated = 0
     for values, m in _value_vectors(lens, max_level):
         density = make_step_density(f.breakpoints, values)
+        violations, low = _density_violations(density)
         for atoms in ((zero, zero, m), (zero, m, zero), (m, zero, zero)) if m else ((m, m, m),):
             if enumerated == HULL_CANDIDATE_CAP:
                 return MembershipReport(
@@ -378,29 +379,28 @@ def hull_membership_lp(law: LocationLaw) -> Union[HullCertificate, MembershipRep
                     f"candidate cap {HULL_CANDIDATE_CAP} reached",
                 )
             enumerated += 1
-            if not _et_violations(density, *atoms):
-                candidates.append(LocationLaw(law.T, density, *atoms))
+            if not violations and not _atom_violations(density, low, atoms):
+                candidates.append((density, atoms))
 
     if candidates:
         # equality constraints: each cell value, each atom, total weight
         A: list[list[Fraction]] = []
         b: list[Fraction] = []
         for j in range(f.k):
-            A.append([c.density.segments[j][0] for c in candidates])
+            A.append([d.segments[j][0] for d, _ in candidates])
             b.append(f.segments[j][0])
-        for attr in ("atom0", "atomT", "atomInf"):
-            A.append([getattr(c, attr) for c in candidates])
-            b.append(getattr(law, attr))
+        for i, atom in enumerate((law.atom0, law.atomT, law.atomInf)):
+            A.append([atoms[i] for _, atoms in candidates])
+            b.append(atom)
         A.append([Fraction(1)] * len(candidates))
         b.append(Fraction(1))
         x = _phase1_simplex(A, b)
         if x is not None:
             components = tuple(
-                (c, w) for c, w in zip(candidates, x) if w > 0
+                (LocationLaw(law.T, d, *atoms), w) for (d, atoms), w in zip(candidates, x) if w > 0
             )
             cert = HullCertificate(components)
-            mixed = cert.mixed()
-            if mixed != law:
+            if cert.mixed() != law:
                 raise RuntimeError("hull certificate does not mix back to the law")
             return cert
 

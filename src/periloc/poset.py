@@ -143,19 +143,6 @@ def poset_location(ps: PointSystem, a: Rational, b: Rational) -> LocationResult:
 # --- the counting-formula density and the exact sweep oracle ---
 
 
-def _circle_union_measure(intervals: list[tuple[Fraction, Fraction]]) -> Fraction:
-    """Measure of a union of arcs [lo, hi] (lo <= hi) on the unit circle."""
-    spans = []
-    for lo, hi in intervals:
-        lo_m = lo % 1
-        hi_m = lo_m + (hi - lo)
-        # the part of the arc past 1 wraps round to the start of the period
-        spans += [(lo_m, hi_m), (lo_m - 1, hi_m - 1)]
-    f = span_density(1, spans)
-    cells = zip(f.breakpoints, f.breakpoints[1:], f.segments)
-    return sum((b - a for a, b, (count, _) in cells if count > 0), Fraction(0))
-
-
 def counting_density(ps: PointSystem, T: Rational) -> LocationLaw:
     """Law with density f(t) = #{s: a_s >= t and b_s >= T - t} (cadlag cells)
     and mass at infinity equal to the shift measure of empty windows."""
@@ -165,7 +152,10 @@ def counting_density(ps: PointSystem, T: Rational) -> LocationLaw:
     # point s counts at t iff a_s >= t and b_s >= T - t: the span (T - b_s, a_s)
     reaches = [reach(ps, s) for s in ps.points]
     density = span_density(T, [(T - r.b, r.a) for r in reaches])
-    atom_inf = 1 - _circle_union_measure([(s - T, s) for s in ps.points])
+    # a window [u, u + T] misses every point exactly when it fits inside a gap
+    pts = ps.points
+    ends = pts[1:] + tuple(p + 1 for p in pts[:1])
+    atom_inf = sum((max(b - a - T, 0) for a, b in zip(pts, ends)), Fraction(0)) if pts else Fraction(1)
     return LocationLaw(T, density, atomInf=atom_inf)
 
 

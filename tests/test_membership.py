@@ -247,22 +247,32 @@ class TestHullMembership:
         assert rep.violated_conditions == ("enumeration-capped",)
 
     def test_one_candidate_per_atom(self, monkeypatch):
-        # each value vector puts its leftover mass on one atom at a time:
-        # the law itself, then 601 candidates, 121 of them extreme
-        calls = []
-        et_violations = membership._et_violations
+        # each value vector puts its leftover mass on one atom at a time: 221
+        # vectors give 601 candidates, 121 of them extreme. The variation
+        # scan runs once for the law itself and once per vector, and no
+        # candidate becomes a law, since none enters a certificate.
+        scans, columns = [], []
+        scan, simplex = membership.check_tv, membership._phase1_simplex
 
-        def counting_et_violations(f, atom0, atomT, atomInf):
-            violations = et_violations(f, atom0, atomT, atomInf)
-            calls.append(not violations)
-            return violations
+        def counting_check_tv(f):
+            scans.append(f)
+            return scan(f)
 
-        monkeypatch.setattr(membership, "_et_violations", counting_et_violations)
+        def counting_phase1_simplex(A, b):
+            columns.append(len(A[0]))
+            return simplex(A, b)
+
+        def no_law(*args, **kwargs):
+            raise AssertionError("the search built a LocationLaw")
+
+        monkeypatch.setattr(membership, "check_tv", counting_check_tv)
+        monkeypatch.setattr(membership, "_phase1_simplex", counting_phase1_simplex)
+        monkeypatch.setattr(membership, "LocationLaw", no_law)
         rep = hull_membership_lp(FOUR_CELL_LAW)
         assert rep.verdict == "unknown"
         assert rep.violated_conditions == ("no-certificate-in-family",)
-        assert len(calls) == 1 + 601
-        assert sum(calls[1:]) == 121
+        assert len(scans) == 1 + 221
+        assert columns == [121]
 
     def test_mixture_of_uniform_and_point_mass(self):
         law = step_law(1, [0, 1], [F(1, 2)], atom0=F(1, 2))
