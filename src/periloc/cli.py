@@ -39,7 +39,6 @@ from .jsonio import (
     parse_rat,
     path_from_obj,
     path_to_obj,
-    rat_str,
 )
 from .membership import HullCertificate, check_class, check_tv, hull_membership_lp
 from .mixability import (

@@ -31,7 +31,6 @@ from .density import (
     block_decomposition,
     generalized_inverse,
     make_step_density,
-    step_law,
 )
 from .membership import check_class
 from .paths import PiecewiseLinearPath

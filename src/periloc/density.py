@@ -120,10 +120,7 @@ def make_step_density(breakpoints: Sequence[Rational], values: Sequence[Rational
     """Cadlag step density: values[j] on [breakpoints[j], breakpoints[j+1])."""
     if len(values) != len(breakpoints) - 1:
         raise ValueError("need one value per cell")
-    return PiecewiseDensity(
-        tuple(as_rat(x) for x in breakpoints),
-        tuple((as_rat(v), Fraction(0)) for v in values),
-    )
+    return PiecewiseDensity(breakpoints, [(v, 0) for v in values])
 
 
 def span_density(T: Rational, spans: Iterable[tuple]) -> PiecewiseDensity:
@@ -269,11 +266,10 @@ def step_law(
     atomInf: Rational = 0,
 ) -> LocationLaw:
     """Convenience constructor for step-density laws."""
-    bp = [as_rat(x) for x in breakpoints]
     T = as_rat(T)
-    if bp[-1] != T:
+    if as_rat(breakpoints[-1]) != T:
         raise ValueError("last breakpoint must equal T")
-    return LocationLaw(T, make_step_density(bp, values), as_rat(atom0), as_rat(atomT), as_rat(atomInf))
+    return LocationLaw(T, make_step_density(breakpoints, values), atom0, atomT, atomInf)
 
 
 def mix_laws(laws: Sequence[LocationLaw], weights: Sequence[Rational]) -> LocationLaw:

@@ -6,9 +6,11 @@ compares correctly against any Fraction) marks "no location".
 Each path builds its exact tables once, on first use, and keeps them out of
 its fields (so ==, hash, repr and the JSON form do not see them): node times,
 node values and piece slopes over two periods, the min and max, and, per hit
-level, the merged hit intervals on [0, 1]. eval_path, first_hit and last_hit
-bisect into them in O(log n) for an n-node path, after O(n) for the node
-table and O(n) more for each hit level first asked about. sup_location and
+level, the merged hit intervals on [0, 1] and on [0, 2]. eval_path bisects
+into the node table, and first_hit and last_hit into the two-period hit
+table, in O(log n) for an n-node path, after O(n) for the node table and
+O(n) more for each hit level first asked about. The vectorized hit engines
+of simulate read the same two-period table. sup_location and
 truncated_sup_location bisect to the window ends and compare the node values
 between them.
 """
@@ -66,8 +68,8 @@ class PiecewiseLinearPath:
         return _NodeTable(times + [t + 1 for t in times], values * 2, slopes * 2, min(values), max(values))
 
     @cached_property
-    def _hit_tables(self) -> dict[Fraction, tuple[list[Fraction], list[Fraction]]]:
-        return {}  # level -> hit_intervals(self, level), filled on demand
+    def _hit_tables(self) -> dict[Fraction, tuple]:
+        return {}  # level -> _hits(self, level), filled on demand
 
 
 class _NodeTable(NamedTuple):
@@ -93,9 +95,15 @@ def hit_intervals(g: PiecewiseLinearPath, level: Rational) -> tuple[list[Fractio
     """{t in [0, 1]: g(t) == level} as merged closed intervals, their starts
     and their ends in order (a crossing is a zero-width interval). Built once
     per path and level; callers must not modify the lists."""
+    return _hits(g, as_rat(level))[0]
+
+
+def _hits(g: PiecewiseLinearPath, level: Fraction) -> tuple[tuple[list, list], tuple[list, list]]:
+    """The merged hit intervals of level on [0, 1] and on [0, 2], built
+    together once per path and level. The second holds the first and its
+    copy one period on, which join at 1 when g(0) == g(1) == level."""
     tables = g._hit_tables
     if level not in tables:
-        level = as_rat(level)
         starts: list[Fraction] = []
         ends: list[Fraction] = []
         for (t0, y0), (t1, y1) in zip(g.nodes, g.nodes[1:]):
@@ -113,7 +121,11 @@ def hit_intervals(g: PiecewiseLinearPath, level: Rational) -> tuple[list[Fractio
             else:
                 starts.append(lo)
                 ends.append(hi)
-        tables[level] = starts, ends
+        lo2 = starts + [s + 1 for s in starts]
+        hi2 = ends + [e + 1 for e in ends]
+        if starts and ends[-1] == 1:
+            del lo2[len(starts)], hi2[len(starts) - 1]
+        tables[level] = (starts, ends), (lo2, hi2)
     return tables[level]
 
 
@@ -170,16 +182,13 @@ def first_hit(g: PiecewiseLinearPath, level: Rational, a: Rational, b: Rational)
     """Smallest t in [a, b] with g(t) == level, or INFINITY."""
     level, a, b = as_rat(level), as_rat(a), as_rat(b)
     _check_window(a, b, max_len=None)
-    starts, ends = hit_intervals(g, level)
+    starts, ends = _hits(g, level)[1]
     if not starts:
         return INFINITY
     k = floor(a)
-    x = a - k
-    j = bisect_left(ends, x)  # the first interval of period k that ends at or after a
-    if j == len(ends):
-        t = k + 1 + starts[0]
-    else:
-        t = a if starts[j] <= x else k + starts[j]
+    x = a - k  # in [0, 1), so an interval of [0, 2) ends at or after x
+    j = bisect_left(ends, x)
+    t = a if starts[j] <= x else k + starts[j]
     return t if t <= b else INFINITY
 
 
@@ -187,16 +196,13 @@ def last_hit(g: PiecewiseLinearPath, level: Rational, a: Rational, b: Rational) 
     """Largest t in [a, b] with g(t) == level, or INFINITY."""
     level, a, b = as_rat(level), as_rat(a), as_rat(b)
     _check_window(a, b, max_len=None)
-    starts, ends = hit_intervals(g, level)
+    starts, ends = _hits(g, level)[1]
     if not starts:
         return INFINITY
-    k = floor(b)
-    y = b - k
-    j = bisect_right(starts, y) - 1  # the last interval of period k that starts at or before b
-    if j < 0:
-        t = k - 1 + ends[-1]
-    else:
-        t = b if ends[j] >= y else k + ends[j]
+    k = floor(b) - 1
+    y = b - k  # in [1, 2), so an interval of [0, 2) starts at or before y
+    j = bisect_right(starts, y) - 1
+    t = b if ends[j] >= y else k + ends[j]
     return t if t >= a else INFINITY
 
 

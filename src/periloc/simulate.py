@@ -1,12 +1,16 @@
 """Sweep and Monte Carlo estimation of location laws, plus law comparison.
 
 The sweep evaluates a locator at shifts u_i and classifies each result as an
-atom (0, T, infinity) or an interior sample. For a paths.Locator, or a
+atom (0, T, infinity) or an interior sample. Every window has a length T in
+(0, 1], checked once for every locator form. For a paths.Locator, or a
 locator name, the evaluation is vectorized by the engine of the kind the
-locator routes to on the path. The engines take the shifts sorted ascending
-and cut them into index runs at the few shifts where a node or a hit
-interval enters or leaves the window; each run is then classified as a
-whole, and its interior samples are a node or hit time less the shifts.
+locator routes to on the path. Every engine is called as engine(g, shifts,
+T, loc), with the sorted shifts, the exact T and the routed Locator; the hit
+engines read the two-period hit table of paths, which the exact locators
+read too. The engines cut the shifts into index runs at the few shifts where
+a node or a hit interval enters or leaves the window; each run is then
+classified as a whole, and its interior samples are a node or hit time less
+the shifts.
 
 The sup and truncated-sup engines place every cut exactly: the node cuts,
 and inside a run the roots of the affine differences between the path at
@@ -26,14 +30,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from typing import Callable, Union
 
 import numpy as np
 
 from .density import LocationLaw, Rational, as_rat, integral
-from .paths import INFINITY, Locator, PiecewiseLinearPath, hit_intervals, locator_by_name
+from .paths import INFINITY, Locator, PiecewiseLinearPath, _hits, locator_by_name
 
 @dataclass(frozen=True)
 class EmpiricalLaw:
@@ -111,14 +114,12 @@ class _Grid(_Shifts):
     def __init__(self, n: int):
         self.n = n
 
-    @cached_property
+    @property
     def u(self) -> np.ndarray:
         return (np.arange(self.n) + 0.5) / self.n
 
     def _u_slice(self, s: int, e: int, buf: np.ndarray) -> np.ndarray:
-        """u[s:e], computed into buf unless the last-hit engine built the grid."""
-        if "u" in self.__dict__:
-            return self.u[s:e]
+        """u[s:e], computed into buf."""
         np.add(np.arange(s, e, dtype=float), 0.5, out=buf)
         buf /= self.n
         return buf
@@ -177,8 +178,9 @@ def _float_times(g: PiecewiseLinearPath) -> np.ndarray:
 _ZERO, _AT_T, _INF, _INTERIOR = 0, 1, 2, 3
 
 
-def _sweep_sup(g: PiecewiseLinearPath, shifts: _Shifts, T: Fraction, truncated: bool):
-    """Counts (zero, T, inf) and interior pieces of the (truncated) sup locator.
+def _sweep_sup(g: PiecewiseLinearPath, shifts: _Shifts, T: Fraction, loc: Locator):
+    """Counts (zero, T, inf) and interior pieces of the sup or truncated-sup
+    locator loc.
 
     Times are scaled to integers by dt and values by dy. Between two cuts,
     where a node enters or leaves the window [u, u + T], the nodes strictly
@@ -195,8 +197,7 @@ def _sweep_sup(g: PiecewiseLinearPath, shifts: _Shifts, T: Fraction, truncated: 
     of paths._sup. Shifts that sit on a cut are classified on their own: a
     node at a window end is not inside.
     """
-    if not 0 < T <= 1:
-        raise ValueError(f"a sup window needs 0 < T <= 1, got T = {T}")
+    truncated = loc.kind == "truncated-sup"
     times, values, _, _, _ = g._table
     dt = lcm(T.denominator, *(t.denominator for t in times))
     dy = lcm(2, *(y.denominator for y in values))
@@ -283,26 +284,15 @@ def _sweep_sup(g: PiecewiseLinearPath, shifts: _Shifts, T: Fraction, truncated: 
     return (*counts, pieces)
 
 
-def _two_period_hits(g: PiecewiseLinearPath, level: Fraction) -> tuple[list[Fraction], list[Fraction]]:
-    """Merged intervals {t in [0, 2]: g(t) == level} (points as zero-width),
-    from the path's exact hit intervals on [0, 1] and their copies one period
-    on: their starts and their ends, exact."""
-    starts, ends = hit_intervals(g, level)
-    lo = starts + [s + 1 for s in starts]
-    hi = ends + [e + 1 for e in ends]
-    if starts and ends[-1] == 1:  # g(0) == g(1) == level: the copies join at 1
-        del lo[len(starts)], hi[len(starts) - 1]
-    return lo, hi
-
-
 def _hit_intervals(g: PiecewiseLinearPath, level: Fraction):
-    """_two_period_hits with the ends rounded from their exact values."""
-    lo, hi = _two_period_hits(g, level)
+    """The starts and the ends of the two-period hit table, rounded from
+    their exact values."""
+    lo, hi = _hits(g, level)[1]
     return np.array([float(x) for x in lo]), np.array([float(x) for x in hi])
 
 
-def _sweep_first_hit(g, shifts: _Shifts, T: Fraction, level: Fraction):
-    """Counts (zero, T, inf) and interior pieces of first_hit.
+def _sweep_first_hit(g: PiecewiseLinearPath, shifts: _Shifts, T: Fraction, loc: Locator):
+    """Counts (zero, T, inf) and interior pieces of the first-hit locator loc.
 
     The shifts from the first past the end of hit interval k-1 to the first
     past the end of interval k have interval k as the first one ending at or
@@ -311,9 +301,7 @@ def _sweep_first_hit(g, shifts: _Shifts, T: Fraction, level: Fraction):
     inside it, so four slices classify the run; shifts.bounds places every
     cut exactly.
     """
-    if T <= 0:
-        raise ValueError(f"a hit window needs T > 0, got T = {T}")
-    lo, hi = _two_period_hits(g, level)
+    lo, hi = _hits(g, loc.level)[1]
     count0 = countT = 0
     pieces, a = [], 0
     for s, e in zip(lo, hi):
@@ -330,17 +318,19 @@ def _sweep_first_hit(g, shifts: _Shifts, T: Fraction, level: Fraction):
     return count0, countT, countInf, pieces
 
 
-def _sweep_last_hit(g, u: np.ndarray, T: float, level: Fraction):
-    """Counts (zero, T, inf) and interior pieces of last_hit; u sorted
-    ascending.
+def _sweep_last_hit(g: PiecewiseLinearPath, shifts: _Shifts, T: Fraction, loc: Locator):
+    """Counts (zero, T, inf) and interior pieces of the last-hit locator loc.
 
     The shifts u[starts[k]:starts[k+1]] have the hit interval k as the last
     one starting by u + T. Within that run the window ends inside the
     interval, then past it, then starts past it, so three slices classify it.
+    The cuts are searched in the float shifts u and u + T, at rounded hit
+    interval ends (see the module docstring for the fault this leaves).
     """
-    HL, HH = _hit_intervals(g, level)
+    HL, HH = _hit_intervals(g, loc.level)
+    u = shifts.u
     n = len(u)
-    ub = u + T
+    ub = u + float(T)
     starts = np.searchsorted(ub, HL, side="left").tolist()
     inside = np.searchsorted(ub, HH, side="right").tolist()  # end of u with u + T <= HH
     reach = np.searchsorted(u, HH, side="right").tolist()  # end of u with u <= HH
@@ -354,7 +344,7 @@ def _sweep_last_hit(g, u: np.ndarray, T: float, level: Fraction):
     return 0, countT, n - countT - sum(e - s for _, s, e in pieces), pieces
 
 
-def _generic_eval(g, locator: Callable, T: Fraction, shifts: _Shifts):
+def _generic_eval(g: PiecewiseLinearPath, shifts: _Shifts, T: Fraction, locator: Callable):
     """Counts (zero, T, inf) and the interior of any callable locator,
     evaluated exactly at every shift."""
     counts, values = [0, 0, 0], []
@@ -374,27 +364,27 @@ def _generic_eval(g, locator: Callable, T: Fraction, shifts: _Shifts):
     return (*counts, np.array(values))
 
 
-def _sample_law(g: PiecewiseLinearPath, locator: Union[str, Callable], T_rat: Fraction, shifts: _Shifts) -> EmpiricalLaw:
-    """Law of the locator over the shifts (a _Grid or a _Sample). A Locator,
-    or its name, runs the vectorized engine of the kind it routes to on g;
-    any other callable is evaluated exactly at every shift."""
+_ENGINES = {"sup": _sweep_sup, "truncated-sup": _sweep_sup, "first-hit": _sweep_first_hit, "last-hit": _sweep_last_hit}
+
+
+def _sample_law(g: PiecewiseLinearPath, locator: Union[str, Callable], T: Fraction, shifts: _Shifts) -> EmpiricalLaw:
+    """Law of the locator over the shifts (a _Grid or a _Sample), for a
+    window length T in (0, 1]. A Locator, or its name, runs the vectorized
+    engine of the kind it routes to on g; any other callable is evaluated
+    exactly at every shift."""
+    if not 0 < T <= 1:
+        raise ValueError(f"window length {T} outside (0, 1]")
     if isinstance(locator, str):
         locator = locator_by_name(locator)
-    if not isinstance(locator, Locator):
-        count0, countT, countInf, interior = _generic_eval(g, locator, T_rat, shifts)
-    else:
+    if isinstance(locator, Locator):
         loc = locator.route(g)
-        if loc.kind == "first-hit":
-            out = _sweep_first_hit(g, shifts, T_rat, loc.level)
-        elif loc.kind == "last-hit":
-            out = _sweep_last_hit(g, shifts.u, float(T_rat), loc.level)
-        else:
-            out = _sweep_sup(g, shifts, T_rat, truncated=loc.kind == "truncated-sup")
-        count0, countT, countInf, pieces = out
+        count0, countT, countInf, pieces = _ENGINES[loc.kind](g, shifts, T, loc)
         interior = shifts.interior(pieces)
+    else:
+        count0, countT, countInf, interior = _generic_eval(g, shifts, T, locator)
     # the engines emit the interior in monotone runs, which timsort merges
     interior.sort(kind="stable")
-    return EmpiricalLaw(T=float(T_rat), n=shifts.n, count0=count0, countT=countT, countInf=countInf, interior=interior)
+    return EmpiricalLaw(T=float(T), n=shifts.n, count0=count0, countT=countT, countInf=countInf, interior=interior)
 
 
 def sweep_law(
@@ -405,6 +395,7 @@ def sweep_law(
 ) -> EmpiricalLaw:
     """Law of locator(g(. + u), [0, T]) over the midpoint grid u = (i+1/2)/n.
 
+    T must lie in (0, 1], for every locator form; else ValueError.
     Deterministic and reproducible bit-exactly for a fixed (path, locator,
     grid) triple. A Locator or a locator name costs O(E log E) for its E node
     or hit events (a few per path node), plus filling and a stable sort of
@@ -432,6 +423,7 @@ def mc_law(
 ) -> EmpiricalLaw:
     """Monte Carlo law estimate with i.i.d. uniform shifts.
 
+    T must lie in (0, 1], for every locator form; else ValueError.
     The generator is numpy's counter-based Philox keyed by the 64-bit seed,
     so (seed, n) fully determine the output and parallel/serial evaluation
     orders agree. The shifts are sorted before the engines run. Each float

@@ -345,6 +345,17 @@ class TestTablesMatchPieceScan:
         assert hit_intervals(plateau, 1) == ([F(0), F(1)], [F(0), F(1)])
         assert hit_intervals(plateau, 2) == ([], [])
 
+    def test_hit_level_is_coerced_before_the_table_lookup(self):
+        # a float level is refused whether or not the level's table is built,
+        # and a string level finds the table its Fraction built
+        plateau = PiecewiseLinearPath(((F(0), F(1)), (F(1, 4), F(0)), (F(1, 2), F(0)), (F(1), F(1))))
+        with pytest.raises(TypeError):
+            hit_intervals(plateau, 0.0)
+        table = hit_intervals(plateau, 0)
+        with pytest.raises(TypeError):
+            hit_intervals(plateau, 0.0)
+        assert hit_intervals(plateau, "0") is table
+
 
 def table_queries(g):
     """Sup and hit queries at four levels, which fill the path's tables."""

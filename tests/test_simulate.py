@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -13,6 +14,7 @@ from periloc.paths import (
     PiecewiseLinearPath,
     composite_location,
     first_hit,
+    last_hit,
     locator_by_name,
     sup_location,
     truncated_sup_location,
@@ -194,12 +196,17 @@ class TestSupTies:
         emp = sweep_law(PiecewiseLinearPath(nodes), name, T, n)
         assert (emp.count0, emp.countT, emp.countInf) == counts
 
-    @pytest.mark.parametrize("T", [F(0), F(3, 2)])
+    @pytest.mark.parametrize("T", [F(0), F(3, 2), F(-1, 2), F(8, 5), F(5, 2)])
     def test_window_outside_one_period_is_a_value_error(self, T):
-        # as the exact locator rejects the window
-        for locator in ("sup", "truncated-sup", sup_location):
-            with pytest.raises(ValueError):
-                sweep_law(TRIANGLE, locator, T, 10)
+        # one rule for every locator form, engine and sampler; the last-hit
+        # engine once answered such windows with a wrong law
+        g = PiecewiseLinearPath(((0, -2), (F(3, 10), 1), (F(1, 2), 2), (F(11, 15), -1), (1, -2)))
+        names = ("sup", "truncated-sup", "composite", "first-hit:1", "last-hit:2")
+        locators = [*names, *map(locator_by_name, names), sup_location, lambda g_, a, b: last_hit(g_, 2, a, b)]
+        for locator in locators:
+            for law in (lambda: sweep_law(g, locator, T, 10), lambda: mc_law(g, locator, T, 10, 1)):
+                with pytest.raises(ValueError, match=re.escape(f"window length {T} outside (0, 1]")):
+                    law()
 
     def test_seeded_scan_matches_exact_evaluation(self):
         # tie paths as tests/test_paths.py draws them, T on the 1/40 lattice

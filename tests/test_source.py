@@ -86,3 +86,22 @@ def test_no_float_interpolation_in_simulate():
         or (isinstance(node, ast.alias) and node.name == "interp")
     ]
     assert found == []
+
+
+def test_no_unused_imports():
+    # every name a module imports is used in it; __init__ imports to re-export
+    found = []
+    for path in sorted(Path(periloc.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in used:
+                        found.append(f"{path.name}:{node.lineno}:{name}")
+    assert found == []
