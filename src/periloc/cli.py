@@ -132,11 +132,20 @@ def _checked(fn, *args, **kwargs):
         raise InputError(str(exc)) from exc
 
 
+def _write(path: str, text: str) -> None:
+    """Write text to the file path; a path that cannot be written is a bad
+    argument (exit 64), not a verdict."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(report: dict, out) -> None:
     text = dumps_canonical(report)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -278,11 +287,11 @@ def cmd_construct(args) -> int:
             report["layers"] = [
                 str(generalized_inverse(law.density, level)) for level in range(1, top + 1)
             ]
-    # the report goes to stdout; --out captures the bare path artifact
-    _emit(report, None)
+    # the report goes to stdout; --out captures the bare path artifact,
+    # written first so that a failed write prints no report
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dumps_canonical(path_to_obj(path)))
+        _write(args.out, dumps_canonical(path_to_obj(path)))
+    _emit(report, None)
     return EXIT_OK
 
 
@@ -294,8 +303,7 @@ def _write_ecdf(emp, out: str) -> None:
         cum += 1
         lines.append(f"{x},{cum / emp.n}")
     lines.append(f"{emp.T},{(cum + emp.countT) / emp.n}")
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(out, "\n".join(lines) + "\n")
 
 
 def cmd_simulate(args) -> int:
@@ -363,11 +371,11 @@ def cmd_bound(args) -> int:
         "law": law_to_obj(law),
         "value_at_t": str(law.density.value(t)),
     }
-    # the report goes to stdout; --out captures the bare law artifact
-    _emit(report, None)
+    # the report goes to stdout; --out captures the bare law artifact,
+    # written first so that a failed write prints no report
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dumps_canonical(law_to_obj(law)))
+        _write(args.out, dumps_canonical(law_to_obj(law)))
+    _emit(report, None)
     return EXIT_OK
 
 

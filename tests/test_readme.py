@@ -1,12 +1,22 @@
-"""The README's Python examples run as written."""
+"""The README's Python examples and its CLI block run as written, and its
+JSON format examples parse."""
 
+import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from periloc.cli import main
+from periloc.jsonio import law_from_obj, path_from_obj, point_system_from_obj
+
 README = Path(__file__).resolve().parent.parent / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+TEXT = README.read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, re.M | re.S)
+# the CLI section's shell block: the one whose commands are all periloc's
+(CLI,) = [b for b in re.findall(r"^```sh\n(.*?)^```", TEXT, re.M | re.S) if b.startswith("periloc ")]
+LAW, PATH, POINT_SYSTEM = (json.loads(b) for b in re.findall(r"^```json\n(.*?)^```", TEXT, re.M | re.S))
 
 
 def test_readme_has_python_blocks():
@@ -16,3 +26,21 @@ def test_readme_has_python_blocks():
 @pytest.mark.parametrize("code", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
 def test_python_block_runs(code):
     exec(compile(code, str(README), "exec"), {"__name__": "readme"})
+
+
+def test_json_formats_parse():
+    law_from_obj(LAW)
+    path_from_obj(PATH)
+    point_system_from_obj(POINT_SYSTEM)
+
+
+def test_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # the block's commands run in order, from a directory holding the
+    # README's law.json; each one exits 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "law.json").write_text(json.dumps(LAW), encoding="utf-8")
+    for line in CLI.splitlines():
+        prog, *argv = shlex.split(line)
+        assert prog == "periloc", line
+        assert main(argv) == 0, line
+        capsys.readouterr()
