@@ -299,7 +299,7 @@ def _write_ecdf(emp, out: str) -> None:
     lines = ["t,F"]
     cum = emp.count0
     lines.append(f"0.0,{cum / emp.n}")
-    for x in emp.interior:
+    for x in emp.interior.tolist():
         cum += 1
         lines.append(f"{x},{cum / emp.n}")
     lines.append(f"{emp.T},{(cum + emp.countT) / emp.n}")

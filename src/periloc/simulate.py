@@ -24,19 +24,32 @@ counts a last hit exactly at the window start as an interior sample at 0
 instead of an atom at 0. Any other callable, the bare functions of paths
 such as sup_location included, is evaluated exactly per shift, in
 rationals.
+
+The grid fill and compare work a block of at most _BLOCK floats at a time,
+in a few buffers of that size, so neither allocates a temporary as long as
+the interior. Each sample goes through the float operations of one pass over
+the whole array, and compare's KS distance is a running maximum over the
+blocks, so the interiors and ks keep their bits whatever the block size.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
 from .density import LocationLaw, Rational, as_rat, integral
 from .paths import INFINITY, Locator, PiecewiseLinearPath, _hits, locator_by_name
+
+# compare and the grid fill work in blocks of this many floats; both add a
+# block's start to the offsets 0.._BLOCK
+_BLOCK = 1 << 14
+_ARANGE = np.arange(_BLOCK + 1, dtype=float)
+
 
 @dataclass(frozen=True)
 class EmpiricalLaw:
@@ -115,8 +128,10 @@ class _Grid(_Shifts):
         self.n = n
 
     def _u_slice(self, s: int, e: int, buf: np.ndarray) -> np.ndarray:
-        """u[s:e], computed into buf."""
-        np.add(np.arange(s, e, dtype=float), 0.5, out=buf)
+        """u[s:e], computed into buf a block at a time."""
+        for a in range(s, e, _BLOCK):
+            o = buf[a - s : min(a + _BLOCK, e) - s]
+            np.add(_ARANGE[: len(o)], a + 0.5, out=o)  # exact: half-integers below 2**52
         buf /= self.n
         return buf
 
@@ -421,8 +436,9 @@ def mc_law(
     T_rat = as_rat(T)
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.Generator(np.random.Philox(seed))
-    return _sample_law(g, locator, T_rat, _Sample(np.sort(rng.random(n))))
+    u = np.random.Generator(np.random.Philox(seed)).random(n)
+    u.sort()
+    return _sample_law(g, locator, T_rat, _Sample(u))
 
 
 # --- comparison against a target law ---
@@ -439,31 +455,44 @@ def _interior_cdf_table(law: LocationLaw):
     return np.array(bp), np.array(cum), [(float(p), float(q)) for p, q in law.density.segments]
 
 
-def _sorted_cdf(law: LocationLaw, x: np.ndarray) -> np.ndarray:
+def _sorted_cdf(law: LocationLaw, x: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Integral of the density over (0, x], for float x sorted ascending
-    (clipped to [0, T]), evaluated one slice per density cell, in place in
-    one new array."""
+    (clipped to [0, T]), a block of at most _BLOCK samples at a time.
+
+    Yields each block's start s and its values at x[s : s + len], in a
+    buffer that the next block overwrites. Each density cell is evaluated on
+    the block's slice of it, so every sample goes through the same float
+    operations whatever the blocks.
+    """
     bp, cum, segs = _interior_cdf_table(law)
-    out = np.clip(x, bp[0], bp[-1])
-    cuts = [0, *np.searchsorted(out, bp[1:-1], side="left").tolist(), len(out)]
-    for j, (p, q) in enumerate(segs):
-        a, xs = bp[j], out[cuts[j] : cuts[j + 1]]
-        # cum[j] + p * (xs - a) + q * (xs * xs - a * a) / 2, operation by
-        # operation; with q == 0 the q term would be a signed zero, and
-        # cum[j] >= 0 keeps the sum off -0.0, so dropping it leaves every bit
-        # unchanged
-        quad = None
-        if q != 0:
-            quad = xs * xs
-            quad -= a * a
-            quad *= q
-            quad /= 2
-        xs -= a
-        xs *= p
-        np.add(cum[j], xs, out=xs)
-        if quad is not None:
-            xs += quad
-    return out
+    n = len(x)
+    out, quad = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
+    # cell j holds x[cuts[j] : cuts[j + 1]]; the inner breakpoints lie in
+    # (0, T), so x cuts as clipped x would
+    cuts = [0, *np.searchsorted(x, bp[1:-1], side="left").tolist(), n]
+    for s in range(0, n, _BLOCK):
+        e = min(s + _BLOCK, n)
+        block = np.clip(x[s:e], bp[0], bp[-1], out=out[: e - s])
+        for j in range(bisect_right(cuts, s) - 1, bisect_left(cuts, e)):
+            lo, hi = max(cuts[j], s) - s, min(cuts[j + 1], e) - s
+            if lo == hi:
+                continue
+            (p, q), a, xs = segs[j], bp[j], block[lo:hi]
+            # cum[j] + p * (xs - a) + q * (xs * xs - a * a) / 2, operation by
+            # operation; with q == 0 the q term would be a signed zero, and
+            # cum[j] >= 0 keeps the sum off -0.0, so dropping it leaves every
+            # bit unchanged
+            if q != 0:
+                qs = np.multiply(xs, xs, out=quad[lo:hi])
+                qs -= a * a
+                qs *= q
+                qs /= 2
+            xs -= a
+            xs *= p
+            np.add(cum[j], xs, out=xs)
+            if q != 0:
+                xs += qs
+        yield s, block
 
 
 def compare(
@@ -475,7 +504,11 @@ def compare(
     """KS distance on the renormalized interior part plus per-atom errors.
 
     emp.interior is sorted, as EmpiricalLaw requires, so the target CDF is
-    evaluated cell by cell on slices of it.
+    evaluated cell by cell on slices of it, a block of at most _BLOCK
+    samples at a time: the scan keeps a running maximum over the blocks and
+    allocates no array as long as the interior. A maximum does not depend on
+    the grouping, and each sample's operations are those of one pass over
+    the whole interior, so ks has the same bits as that pass.
     """
     if abs(float(target.T) - emp.T) > 1e-12:
         raise ValueError("laws have different T")
@@ -489,12 +522,16 @@ def compare(
     if m == 0 or mass == 0.0:
         ks = 0.0 if (m == 0) == (mass == 0.0) else 1.0
     else:
-        G = _sorted_cdf(target, emp.interior)
-        G /= mass
-        steps = np.arange(m + 1, dtype=float)
-        steps /= m  # the ECDF after i samples is steps[i]
-        d = steps[1:] - G
-        above = np.max(d)
-        np.subtract(G, steps[:-1], out=d)
-        ks = float(np.maximum(above, np.max(d)))
+        ks = -np.inf
+        steps, d = np.empty(min(m, _BLOCK) + 1), np.empty(min(m, _BLOCK))
+        for s, G in _sorted_cdf(target, emp.interior):
+            G /= mass
+            st, dd = steps[: len(G) + 1], d[: len(G)]
+            # the ECDF after i samples is i / m
+            np.add(_ARANGE[: len(st)], s, out=st)
+            st /= m
+            np.subtract(st[1:], G, out=dd)
+            ks = max(ks, float(np.max(dd)))
+            np.subtract(G, st[:-1], out=dd)
+            ks = max(ks, float(np.max(dd)))
     return ComparisonReport(ks=ks, atom_errors=atom_errors, tol_ks=tol_ks, tol_atom=tol_atom)

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -20,6 +21,7 @@ from periloc.paths import (
     truncated_sup_location,
 )
 from periloc.simulate import (
+    _BLOCK,
     EmpiricalLaw,
     _sorted_cdf,
     compare,
@@ -290,6 +292,14 @@ def laws(draw, T):
     return LocationLaw(T, f, atom0=1 - mass)
 
 
+def sorted_cdf(law, x):
+    """The blocks of _sorted_cdf gathered into one array."""
+    out = np.empty(len(x))
+    for s, block in _sorted_cdf(law, x):
+        out[s : s + len(block)] = block
+    return out
+
+
 def assert_same_bytes(a: EmpiricalLaw, b: EmpiricalLaw):
     # repr also tells a numpy integer from a Python int
     assert repr((a.T, a.n, a.count0, a.countT, a.countInf)) == repr((b.T, b.n, b.count0, b.countT, b.countInf))
@@ -331,7 +341,62 @@ class TestEnginesMatchPerShiftReference:
         law = data.draw(laws(T))
         points = st.sampled_from([float(b) for b in law.density.breakpoints]) | st.floats(-1, 2)
         x = np.sort(np.array(data.draw(st.lists(points, max_size=40)), dtype=float))
-        assert _sorted_cdf(law, x).tobytes() == ref.interior_cdf(law, x).tobytes()
+        assert sorted_cdf(law, x).tobytes() == ref.interior_cdf(law, x).tobytes()
+
+
+class TestBlocks:
+    """compare and the grid fill work a block of _BLOCK floats at a time; on
+    interiors that span several blocks they keep the bytes of one pass."""
+
+    @staticmethod
+    def linear_law(T):
+        # density 2t / T^2 with a breakpoint at T / 2: a quadratic CDF in two cells
+        return LocationLaw(T, PiecewiseDensity((F(0), T / 2, T), ((0, 2 / T**2),) * 2))
+
+    @staticmethod
+    def triangle_fill(T, n):
+        """The sup interior of TRIANGLE, filled as one pass would: the peak at
+        1/2 less the shifts below 1/2, and for T = 1 the peak at 3/2 less
+        the shifts above 1/2 (n even, so no shift sits at 1/2)."""
+        pieces = [(0.5, 0, n // 2)] + ([(1.5, n // 2, n)] if T == 1 else [])
+        x = np.concatenate([t - (np.arange(s, e) + 0.5) / n for t, s, e in pieces])
+        x.sort(kind="stable")
+        return x
+
+    @pytest.mark.parametrize(
+        "T, n, m",
+        [
+            (F(1, 2), 2 * _BLOCK, _BLOCK),  # exactly one block
+            (F(1, 2), 2 * _BLOCK + 2, _BLOCK + 1),  # one block and one sample, in one piece
+            (F(1), 2 * _BLOCK, 2 * _BLOCK),  # the cell cut at 1/2 falls on the block boundary
+        ],
+    )
+    def test_blocks_keep_the_bytes(self, T, n, m):
+        emp = sweep_law(TRIANGLE, "sup", T, n)
+        assert len(emp.interior) == m
+        assert emp.interior.tobytes() == self.triangle_fill(T, n).tobytes()
+        if T == 1:
+            assert np.searchsorted(emp.interior, 0.5) == _BLOCK
+        for law in (step_law(T, (0, T), (1 / T,)), self.linear_law(T)):
+            got, want = compare(law, emp).ks, ref.compare(law, emp).ks
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_memory_stays_a_few_blocks(self):
+        # at grid 10^6 the interior is 8 MB; neither call allocates an
+        # array as long as it
+        tracemalloc.start()
+        try:
+            emp = sweep_law(TRIANGLE, "sup", 1, 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+            assert peak - emp.interior.nbytes < 1 << 20
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            rep = compare(UNIFORM, emp)
+            _, peak = tracemalloc.get_traced_memory()
+            assert peak - base < 2 << 20
+        finally:
+            tracemalloc.stop()
+        assert rep.passed
 
 
 class TestLocatorDispatch:
@@ -427,11 +492,11 @@ class TestInteriorCdf:
     def test_step_density(self):
         law = step_law(1, (0, F(1, 4), 1), (2, F(2, 3)))
         x = np.array([0.0, 0.25, 0.5, 1.0])
-        np.testing.assert_allclose(_sorted_cdf(law, x), [0, 0.5, 2 / 3, 1])
+        np.testing.assert_allclose(sorted_cdf(law, x), [0, 0.5, 2 / 3, 1])
 
     def test_clips_outside_support(self):
         law = step_law(F(1, 2), (0, F(1, 2)), (2,))
-        np.testing.assert_allclose(_sorted_cdf(law, np.array([-1.0, 2.0])), [0, 1])
+        np.testing.assert_allclose(sorted_cdf(law, np.array([-1.0, 2.0])), [0, 1])
 
 
 class TestEmpiricalLaw:
