@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import ceil
 from typing import Optional, Union
 
-from .density import LocationLaw, PiecewiseDensity, make_step_density, mix_laws
+from .density import LocationLaw, PiecewiseDensity, _tv_open, make_step_density, mix_laws
 
 VERDICT_MEMBER = "member"
 VERDICT_NON_MEMBER = "non-member"
@@ -16,12 +16,6 @@ VERDICT_UNKNOWN = "unknown"
 
 # most hull candidates one search enumerates before it answers unknown
 HULL_CANDIDATE_CAP = 200_000
-
-_CLASS_ALIASES = {
-    "ET": "ET", "E_T": "ET",
-    "E1T": "E1T", "E1_T": "E1T",
-    "EMT": "EMT", "EM_T": "EMT",
-}
 
 
 @dataclass(frozen=True)
@@ -133,11 +127,8 @@ def check_tv_prime(f: PiecewiseDensity) -> MembershipReport:
     (q_first + |q_first|) + (|q_last| - q_last) >= 0, so the condition holds
     iff it holds in the limit t -> 0+.
     """
-    # TV over (0, T): the slopes of cells 1..k plus the jumps between them
-    cells = zip(zip(f.breakpoints, f.breakpoints[1:]), f.segments)
-    tv_full = sum(abs(q) * (b - a) for (a, b), (_, q) in cells) + sum(abs(jump) for jump in f.jumps())
     (p_first, _), (p_last, q_last) = f.segments[0], f.segments[-1]
-    margin = p_first + (p_last + q_last * f.T) - tv_full  # f(0+) + f(T-) - TV over (0, T)
+    margin = p_first + (p_last + q_last * f.T) - _tv_open(f, 0, f.T)  # f(0+) + f(T-) - TV over (0, T)
     if margin < 0:
         # any small enough t violates; pick one inside the first/last cells
         t_max = min(f.breakpoints[1], f.T - f.breakpoints[-2], f.T / 2)
@@ -194,10 +185,8 @@ def check_class(law: LocationLaw, cls: str) -> MembershipReport:
     E1T: ET with no mass at infinity and density >= 1 (positive integers).
     EMT: ET with decreasing density and no atom at T.
     """
-    try:
-        cls = _CLASS_ALIASES[cls.upper().replace("-", "_")]
-    except KeyError:
-        raise ValueError(f"unknown class {cls!r}") from None
+    if cls not in ("ET", "E1T", "EMT"):
+        raise ValueError(f"unknown class {cls!r}")
     f = law.density
     violations, low = _density_violations(f)
     violations += _atom_violations(f, low, (law.atom0, law.atomT, law.atomInf))

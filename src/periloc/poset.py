@@ -1,20 +1,21 @@
 """Finite ordered point systems: exact reach distances, window maxima, the
 counting-formula density, and an exact sweep oracle.
 
-Each of the three order kinds is a total preorder given by one key per
-periodic copy (`PointSystem.key`): copy r lies below copy s exactly when r is
-not s and key(r) < key(s). Two different copies share a key only in the
-explicit order, and then they are copies of one point, which are
-incomparable.
+Each of the three order kinds is a total preorder given by one integer key
+per periodic copy: copy r lies below copy s exactly when r is not s and
+key(r) < key(s). A system builds its copies in [-1, 2) and their keys once
+(`PointSystem._copies`); reaches scan that table and window maxima bisect
+into it. Two different copies share a key only in the explicit order, and
+then they are copies of one point, which are incomparable.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil
+from math import floor
 from typing import Optional
 
 from .density import LocationLaw, Rational, as_rat, span_density
@@ -27,10 +28,10 @@ ORDER_KINDS = ("first_time", "last_time", "explicit")
 class PointSystem:
     """One period of a shift-equivariant point set with a period-consistent order.
 
-    points: distinct rationals in [0, 1).
+    points: distinct rationals in [0, 1), stored sorted.
     order_kind: first_time (earlier dominates), last_time (later dominates),
-    or explicit (injective ranks per point; periodic copies of the same point
-    are mutually incomparable).
+    or explicit (injective ranks, paired with the points as listed; periodic
+    copies of the same point are mutually incomparable).
     """
 
     points: tuple[Fraction, ...]
@@ -38,42 +39,41 @@ class PointSystem:
     explicit_order: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
-        pts = tuple(sorted(as_rat(p) for p in self.points))
-        object.__setattr__(self, "points", pts)
+        pts = tuple(as_rat(p) for p in self.points)
         if any(not 0 <= p < 1 for p in pts):
             raise ValueError("points must lie in [0, 1)")
         if len(set(pts)) != len(pts):
             raise ValueError("points must be distinct")
         if self.order_kind not in ORDER_KINDS:
             raise ValueError(f"unknown order kind {self.order_kind!r}")
+        ranks = self.explicit_order
         if self.order_kind == "explicit":
-            if self.explicit_order is None:
+            if ranks is None:
                 raise ValueError("explicit order needs ranks")
-            ranks = tuple(int(r) for r in self.explicit_order)
+            ranks = tuple(int(r) for r in ranks)
             if len(ranks) != len(pts) or len(set(ranks)) != len(ranks):
                 raise ValueError("need one distinct rank per point")
-            object.__setattr__(self, "explicit_order", ranks)
-        elif self.explicit_order is not None:
+        elif ranks is not None:
             raise ValueError("ranks only make sense for explicit order")
-
-    def rank(self, point: Fraction) -> int:
-        try:
-            return self._ranks[point]
-        except KeyError:
-            raise ValueError(f"{point} is not a point of the system") from None
+        # sort the points, each rank staying with its point
+        order = sorted(range(len(pts)), key=pts.__getitem__)
+        object.__setattr__(self, "points", tuple(pts[i] for i in order))
+        if ranks is not None:
+            object.__setattr__(self, "explicit_order", tuple(ranks[i] for i in order))
 
     @cached_property
-    def _ranks(self) -> dict[Fraction, int]:
-        return dict(zip(self.points, self.explicit_order))
-
-    def key(self, base: Fraction, pos: Fraction) -> Fraction | int:
-        """Order key of the periodic copy of point `base` at position `pos`:
-        a higher key is higher in the order."""
+    def _copies(self) -> tuple[list[Fraction], list[int]]:
+        """Positions of the periodic copies in [-1, 2), ascending, and each
+        copy's order key: a higher key is higher in the order."""
+        n = len(self.points)
+        pos = [p + k for k in (-1, 0, 1) for p in self.points]
         if self.order_kind == "first_time":
-            return -pos
-        if self.order_kind == "last_time":
-            return pos
-        return self.rank(base)
+            keys = list(range(3 * n, 0, -1))
+        elif self.order_kind == "last_time":
+            keys = list(range(3 * n))
+        else:
+            keys = list(self.explicit_order) * 3
+        return pos, keys
 
 
 @dataclass(frozen=True)
@@ -89,11 +89,11 @@ def reach(ps: PointSystem, s: Rational) -> Reach:
     """Distance from s to the nearest copy on each side whose key is at least
     s's, or INFINITY.
 
-    Each side scans the other points nearest first, then the copy of s one
-    period away; that is far enough. In the explicit order the copies of s at
-    s - 1 and s + 1 have s's key and block. In the first-time order every
-    earlier copy is above s and no later one is; the last-time order is the
-    mirror.
+    Each side scans the n copies nearest to s's copy in [0, 1), the last of
+    them the copy of s one period away; that is far enough. In the explicit
+    order the copies of s at s - 1 and s + 1 have s's key and block. In the
+    first-time order every earlier copy is above s and no later one is; the
+    last-time order is the mirror.
     """
     s = as_rat(s)
     pts = ps.points
@@ -101,18 +101,14 @@ def reach(ps: PointSystem, s: Rational) -> Reach:
     i = bisect_left(pts, s)
     if i == n or pts[i] != s:
         raise ValueError(f"{s} is not a point of the system")
-    top = ps.key(s, s)
-    sides: list[LocationResult] = []
-    for step in (-1, 1):
-        dist: LocationResult = INFINITY
-        for j in range(1, n + 1):
-            q, r = divmod(i + step * j, n)
-            pos = pts[r] + q
-            if ps.key(pts[r], pos) >= top:
-                dist = abs(pos - s)
-                break
-        sides.append(dist)
-    return Reach(*sides)
+    pos, keys = ps._copies
+    c = n + i  # s's own copy
+    top = keys[c]
+
+    def nearest(side: range) -> LocationResult:
+        return next((abs(pos[j] - s) for j in side if keys[j] >= top), INFINITY)
+
+    return Reach(nearest(range(c - 1, i - 1, -1)), nearest(range(c + 1, c + n + 1)))
 
 
 def poset_location(ps: PointSystem, a: Rational, b: Rational) -> LocationResult:
@@ -122,22 +118,17 @@ def poset_location(ps: PointSystem, a: Rational, b: Rational) -> LocationResult:
     a, b = as_rat(a), as_rat(b)
     if a >= b or b - a > 1:
         raise ValueError("need a < b with b - a <= 1")
-    best: LocationResult = INFINITY
-    best_key = None
-    tied = False
-    for base in ps.points:
-        # b - a <= 1: at most two copies of a point lie in [a, b]
-        pos = base + ceil(a - base)
-        while pos <= b:
-            k = ps.key(base, pos)
-            if best_key is None or k > best_key:
-                best, best_key, tied = pos, k, False
-            elif k == best_key:
-                tied = True
-            pos += 1
-    if tied:
+    # shifted by k, the window lies in [0, 2), inside the copy table
+    k = floor(a)
+    pos, keys = ps._copies
+    lo, hi = bisect_left(pos, a - k), bisect_right(pos, b - k)
+    if lo == hi:
+        return INFINITY
+    window = keys[lo:hi]
+    top = max(window)
+    if window.count(top) > 1:
         raise ValueError(f"order admits 2 maximal elements on [{a}, {b}]")
-    return best
+    return pos[lo + window.index(top)] + k
 
 
 # --- the counting-formula density and the exact sweep oracle ---

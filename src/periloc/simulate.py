@@ -146,7 +146,9 @@ class _Grid(_Shifts):
 
 
 class _Sample(_Shifts):
-    """Sorted float shifts, each read as the binary rational it is."""
+    """Sorted float shifts, each read as the binary rational it is. Every
+    shift is a Philox double, a multiple of 2**-53, so a cut p/q rounds to
+    that lattice exactly."""
 
     def __init__(self, u: np.ndarray):
         self.n = len(u)
@@ -158,25 +160,15 @@ class _Sample(_Shifts):
     def ratio(self, i: int) -> tuple[int, int]:
         return self.u[i].as_integer_ratio()
 
-    def _sign(self, i: int, p: int, q: int) -> int:
-        """Sign of u_i - p/q."""
-        num, den = self.ratio(i)
-        v = num * q - p * den
-        return (v > 0) - (v < 0)
-
     def bounds(self, p: int, q: int) -> tuple[int, int]:
         if p < 0 or p >= q:
             return (0, 0) if p < 0 else (self.n, self.n)
-        # search the float nearest p/q, then step over the shifts it rounded past
-        lo = int(np.searchsorted(self.u, p / q))
-        while lo > 0 and self._sign(lo - 1, p, q) >= 0:
-            lo -= 1
-        while lo < self.n and self._sign(lo, p, q) < 0:
-            lo += 1
-        hi = lo
-        while hi < self.n and self._sign(hi, p, q) == 0:
-            hi += 1
-        return lo, hi
+        # u = j / 2**53 is >= p/q iff j >= ceil(p 2**53 / q), and > p/q iff
+        # j > floor(p 2**53 / q); both lattice points are exact floats
+        m = p << 53
+        lo = np.searchsorted(self.u, -(-m // q) / 2**53, side="left")
+        hi = np.searchsorted(self.u, (m // q) / 2**53, side="right")
+        return int(lo), int(hi)
 
 
 def _float_times(g: PiecewiseLinearPath) -> np.ndarray:

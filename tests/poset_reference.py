@@ -27,7 +27,8 @@ def dominates_or_equal(ps, r_base, r_pos, s_base, s_pos):
         return r_pos <= s_pos
     if r_base == s_base:
         return False  # periodic copies are incomparable
-    return ps.rank(r_base) < ps.rank(s_base)
+    rank = dict(zip(ps.points, ps.explicit_order))
+    return rank[r_base] < rank[s_base]
 
 
 def unrolled(ps, lo, hi):

@@ -187,8 +187,10 @@ class TestCheckClass:
 
     def test_unknown_class_rejected(self):
         law = step_law(1, [0, 1], [1])
-        with pytest.raises(ValueError):
-            check_class(law, "XYZ")
+        # only the names ET, E1T and EMT, as written
+        for name in ("XYZ", "E_T", "et", "E1_T", "em-t"):
+            with pytest.raises(ValueError, match=f"^unknown class '{name}'$"):
+                check_class(law, name)
 
 
 # --- hull membership ---

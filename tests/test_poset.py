@@ -1,6 +1,7 @@
 """Point-system orders: reach distances, window maxima, counting density,
 and agreement with the exact shift-sweep oracle."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -49,11 +50,25 @@ class TestPointSystem:
         with pytest.raises(ValueError):
             PointSystem((F(1, 2),), "first_time", (1,))  # stray ranks
 
-    def test_rank(self):
-        ps = PointSystem((F(1, 5), F(7, 10)), "explicit", (2, 1))
-        assert ps.rank(F(1, 5)) == 2 and ps.rank(F(7, 10)) == 1
-        with pytest.raises(ValueError):
-            ps.rank(F(1, 2))  # not a point of the system
+    def test_each_rank_stays_with_its_point(self):
+        # listed out of order, 1/5 ranks above 7/10: the system sorts the
+        # (point, rank) pairs together
+        ps = PointSystem((F(7, 10), F(1, 5)), "explicit", (1, 2))
+        assert ps == PointSystem((F(1, 5), F(7, 10)), "explicit", (2, 1))
+        assert ps.explicit_order == (2, 1)
+        assert poset_location(ps, 0, 1) == F(1, 5)
+
+    @given(point_systems(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_shuffled_pairs_give_the_sorted_system(self, ps, rnd):
+        order = list(range(len(ps.points)))
+        rnd.shuffle(order)
+        ranks = None if ps.explicit_order is None else tuple(ps.explicit_order[i] for i in order)
+        shuffled = PointSystem(tuple(ps.points[i] for i in order), ps.order_kind, ranks)
+        assert shuffled == ps
+        for a in (F(k, 10) for k in range(-10, 10)):
+            for b in (a + F(3, 10), a + 1):
+                assert outcome(poset_location, shuffled, a, b) == outcome(poset_location, ps, a, b)
 
 
 class TestReach:
@@ -161,6 +176,17 @@ class TestCountingDensity:
     @given(point_systems(), st.sampled_from([F(3, 10), F(2, 5), F(1, 2), F(4, 5), F(1)]))
     @settings(max_examples=300, deadline=None)
     def test_oracle_agreement(self, ps, T):
+        assert laws_agree(counting_density(ps, T), sweep_oracle(ps, T))
+
+    @pytest.mark.parametrize("kind", ["first_time", "last_time", "explicit"])
+    def test_oracle_agreement_at_480_points(self, kind):
+        rnd = random.Random(480)
+        points = tuple(F(c, 10007) for c in sorted(rnd.sample(range(10007), 480)))
+        ranks = None
+        if kind == "explicit":
+            ranks = tuple(rnd.sample(range(480), 480))
+        ps = PointSystem(points, kind, ranks)
+        T = F(1, 3)
         assert laws_agree(counting_density(ps, T), sweep_oracle(ps, T))
 
     @given(point_systems(), st.sampled_from([F(3, 10), F(1, 2), F(1)]))

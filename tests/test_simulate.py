@@ -23,6 +23,7 @@ from periloc.paths import (
 from periloc.simulate import (
     _BLOCK,
     EmpiricalLaw,
+    _Sample,
     _sorted_cdf,
     compare,
     mc_law,
@@ -454,6 +455,27 @@ class TestMonteCarlo:
         # both read each float shift as the binary rational it is
         wrapped = lambda g_, a, b: sup_location(g_, a, b)
         laws_equal(mc_law(g, "sup", T, 200, seed), mc_law(g, wrapped, T, 200, seed))
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2**32, 2**64 - 1])
+    def test_shifts_lie_on_the_2_53_lattice(self, seed):
+        # mc_law's generator; _Sample.bounds rounds cuts to this lattice
+        u = np.random.Generator(np.random.Philox(seed)).random(100_000)
+        j = u * 2.0**53  # exact: a power-of-two scale
+        assert np.all((0 <= u) & (u < 1))
+        assert np.array_equal(j, np.floor(j))
+
+    @given(seed=st.integers(0, 2**32), n=st.integers(1, 60), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_sample_bounds_count_exactly(self, seed, n, data):
+        u = np.sort(np.random.Generator(np.random.Philox(seed)).random(n))
+        shifts = _Sample(u)
+        exact = [F(x) for x in u.tolist()]
+        on_shift = st.sampled_from(exact).flatmap(lambda x: st.sampled_from([x, x - F(1, 2**60), x + F(1, 2**60)]))
+        anywhere = st.builds(F, st.integers(-3, 1000), st.integers(1, 997))
+        for _ in range(10):
+            c = data.draw(st.one_of(on_shift, anywhere))
+            lo, hi = shifts.bounds(c.numerator, c.denominator)
+            assert lo == sum(x < c for x in exact) and hi == sum(x <= c for x in exact)
 
     def test_triangle_sup_near_uniform(self):
         emp = mc_law(TRIANGLE, "sup", 1, 100_000, seed=7)
