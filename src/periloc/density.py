@@ -16,7 +16,10 @@ Rational = Union[int, str, Fraction]
 
 
 def as_rat(x: Rational) -> Fraction:
-    """Coerce to Fraction. Floats are refused: Fraction(0.15) is not 3/20."""
+    """Coerce to Fraction; a Fraction comes back as itself. Floats are
+    refused: Fraction(0.15) is not 3/20."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, bool) or isinstance(x, float):
         raise TypeError(f"need an exact rational (int, str or Fraction), got {x!r}")
     return Fraction(x)

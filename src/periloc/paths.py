@@ -4,15 +4,25 @@ Locations are rationals; the distinguished value INFINITY (IEEE +inf, which
 compares correctly against any Fraction) marks "no location".
 
 Each path builds its exact tables once, on first use, and keeps them out of
-its fields (so ==, hash, repr and the JSON form do not see them): node times,
-node values and piece slopes over two periods, the min and max, and, per hit
-level, the merged hit intervals on [0, 1] and on [0, 2]. eval_path bisects
-into the node table, and first_hit and last_hit into the two-period hit
-table, in O(log n) for an n-node path, after O(n) for the node table and
-O(n) more for each hit level first asked about. The vectorized hit engines
-of simulate read the same two-period table. sup_location and
-truncated_sup_location bisect to the window ends and compare the node values
-between them.
+its fields (so ==, hash, repr and the JSON form do not see them). The node
+table holds the node times of two periods, as Fractions and as integers tau
+over their least common denominator D, closed by 2D, and the node values as
+integers eta over theirs, E, plus the min and max. Per hit level, keyed by
+the level's numerator and denominator, the hit table holds the merged hit
+intervals on [0, 1] and on [0, 2), the latter's ends also as integers over
+their least common denominator H.
+
+The locators work in these integers. A window end p/q becomes X/q in units
+of 1/D (or 1/H), so bisecting tau (or the hit ends) at X // q or at its
+ceiling finds the nodes (or hit intervals) on either side, and values are
+compared cross-multiplied. eval_path, first_hit and last_hit cost O(log n)
+for an n-node path, after O(n) for the node table and O(n) more for each
+hit level first asked about; sup_location and truncated_sup_location add a
+scan of the node values inside the window. A result is a window end, a
+stored time, or a stored time shifted by the whole periods before the
+window, so a locator given Fractions builds at most that one Fraction, and
+eval_path builds just its value. The vectorized engines of simulate read
+the same tables.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import floor
+from math import lcm
 from typing import NamedTuple, Optional, Union
 
 from .density import Rational, as_rat
@@ -61,49 +71,87 @@ class PiecewiseLinearPath:
 
     @cached_property
     def _table(self) -> _NodeTable:
-        nd = self.nodes
-        times = [t for t, _ in nd[:-1]]
-        values = [y for _, y in nd[:-1]]
-        slopes = [(y1 - y0) / (t1 - t0) for (t0, y0), (t1, y1) in zip(nd, nd[1:])]
-        return _NodeTable(times + [t + 1 for t in times], values * 2, slopes * 2, min(values), max(values))
+        times = [t for t, _ in self.nodes[:-1]]
+        values = [y for _, y in self.nodes[:-1]]
+        D = lcm(*(t.denominator for t in times))
+        E = lcm(*(y.denominator for y in values))
+        tau = [t.numerator * (D // t.denominator) for t in times]
+        eta = [y.numerator * (E // y.denominator) for y in values]
+        return _NodeTable(
+            times + [t + 1 for t in times],
+            tau + [t + D for t in tau] + [2 * D],
+            eta * 2 + eta[:1],
+            D,
+            E,
+            min(values),
+            max(values),
+        )
 
     @cached_property
-    def _hit_tables(self) -> dict[Fraction, tuple]:
-        return {}  # level -> _hits(self, level), filled on demand
+    def _hit_tables(self) -> dict[tuple[int, int], _HitTable]:
+        return {}  # (level numerator, denominator) -> _hits(self, level), filled on demand
 
 
 class _NodeTable(NamedTuple):
-    """The nodes of two periods: node i sits at times[i] in [0, 2) with value
-    values[i], and g has slope slopes[i] from there to the next node."""
+    """The nodes of two periods: node i sits at times[i] in [0, 2), which is
+    tau[i] / D, with value eta[i] / E; D and E are the least common
+    denominators of the node times and values. tau and eta close with node
+    2n, at 2 with g(0), so g on the piece from node i is the line through
+    (tau[i], eta[i]) and (tau[i + 1], eta[i + 1]) for every i < 2n."""
 
     times: list[Fraction]
-    values: list[Fraction]
-    slopes: list[Fraction]
+    tau: list[int]
+    eta: list[int]
+    D: int
+    E: int
     low: Fraction
     high: Fraction
 
 
+def _line(tau: list[int], eta: list[int], i: int, X: int, q: int) -> tuple[int, int]:
+    """g(t) * E on the piece from node i, at t = X / (q D), as a numerator
+    over a positive denominator."""
+    L = tau[i + 1] - tau[i]
+    return eta[i] * L * q + (eta[i + 1] - eta[i]) * (X - tau[i] * q), L * q
+
+
 def eval_path(g: PiecewiseLinearPath, t: Rational) -> Fraction:
     """g(t) for any rational t (reduced mod 1)."""
-    t = as_rat(t) % 1
-    times, values, slopes, _, _ = g._table
-    i = bisect_right(times, t) - 1
-    return values[i] + slopes[i] * (t - times[i])
+    t = as_rat(t)
+    _, tau, eta, D, E, _, _ = g._table
+    p, q = t.numerator, t.denominator
+    X = p % q * D  # t mod 1 is X / (q D)
+    num, den = _line(tau, eta, bisect_right(tau, X // q) - 1, X, q)
+    return Fraction(num, den * E)
 
 
 def hit_intervals(g: PiecewiseLinearPath, level: Rational) -> tuple[list[Fraction], list[Fraction]]:
     """{t in [0, 1]: g(t) == level} as merged closed intervals, their starts
     and their ends in order (a crossing is a zero-width interval). Built once
     per path and level; callers must not modify the lists."""
-    return _hits(g, as_rat(level))[0]
+    return _hits(g, as_rat(level)).one
 
 
-def _hits(g: PiecewiseLinearPath, level: Fraction) -> tuple[tuple[list, list], tuple[list, list]]:
-    """The merged hit intervals of level on [0, 1] and on [0, 2], built
-    together once per path and level. The second holds the first and its
-    copy one period on, which join at 1 when g(0) == g(1) == level."""
+class _HitTable(NamedTuple):
+    """The merged hit intervals of one level: on [0, 1] as (starts, ends),
+    on [0, 2) as (starts, ends), and the latter's starts and ends again as
+    integers, starts_h and ends_h, over their least common denominator H."""
+
+    one: tuple[list[Fraction], list[Fraction]]
+    two: tuple[list[Fraction], list[Fraction]]
+    H: int
+    starts_h: list[int]
+    ends_h: list[int]
+
+
+def _hits(g: PiecewiseLinearPath, level: Fraction) -> _HitTable:
+    """The hit table of level, built once per path and level. Its two-period
+    intervals hold those of [0, 1] and their copy one period on, which join
+    at 1 when g(0) == g(1) == level."""
     tables = g._hit_tables
-    if level not in tables:
+    key = level.numerator, level.denominator
+    table = tables.get(key)
+    if table is None:
         starts: list[Fraction] = []
         ends: list[Fraction] = []
         for (t0, y0), (t1, y1) in zip(g.nodes, g.nodes[1:]):
@@ -125,8 +173,16 @@ def _hits(g: PiecewiseLinearPath, level: Fraction) -> tuple[tuple[list, list], t
         hi2 = ends + [e + 1 for e in ends]
         if starts and ends[-1] == 1:
             del lo2[len(starts)], hi2[len(starts) - 1]
-        tables[level] = (starts, ends), (lo2, hi2)
-    return tables[level]
+        H = lcm(*(t.denominator for t in lo2 + hi2))
+        table = _HitTable(
+            (starts, ends),
+            (lo2, hi2),
+            H,
+            [t.numerator * (H // t.denominator) for t in lo2],
+            [t.numerator * (H // t.denominator) for t in hi2],
+        )
+        tables[key] = table
+    return table
 
 
 def shift(g: PiecewiseLinearPath, c: Rational) -> PiecewiseLinearPath:
@@ -138,33 +194,41 @@ def shift(g: PiecewiseLinearPath, c: Rational) -> PiecewiseLinearPath:
     return PiecewiseLinearPath(tuple(nodes))
 
 
-def _check_window(a: Fraction, b: Fraction, max_len: Fraction | None = 1):
-    if a >= b:
+def _check_window(a: Fraction, b: Fraction, one_period: bool = True):
+    """Raise ValueError unless a < b and, for one_period, b - a <= 1."""
+    qa, qb = a.denominator, b.denominator
+    d = b.numerator * qa - a.numerator * qb  # (b - a) * qa * qb
+    if d <= 0:
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    if max_len is not None and b - a > max_len:
+    if one_period and d > qa * qb:
         raise ValueError(f"window [{a}, {b}] longer than one period")
 
 
-def _sup(g: PiecewiseLinearPath, a: Rational, b: Rational) -> tuple[Fraction, Fraction]:
-    """(leftmost maximizer, max) of g on [a, b], b - a <= 1. The maximizer is
-    the first of a, the nodes strictly inside (a, b) and b to reach the max:
-    on each affine piece the max sits at an end."""
+def _sup(g: PiecewiseLinearPath, a: Rational, b: Rational) -> tuple[Fraction, int, int]:
+    """(leftmost maximizer, max as a numerator over a positive denominator)
+    of g on [a, b], b - a <= 1. The maximizer is the first of a, the nodes
+    strictly inside (a, b) and b to reach the max: on each affine piece the
+    max sits at an end."""
     a, b = as_rat(a), as_rat(b)
     _check_window(a, b)
-    times, values, slopes, _, _ = g._table
-    k = floor(a)
-    x, y = a - k, b - k  # 0 <= x < y <= x + 1 < 2
-    i = bisect_right(times, x)  # times[i - 1] <= x < times[i]
-    j = bisect_left(times, y)  # times[j - 1] < y <= times[j]
-    pos, val = a, values[i - 1] + slopes[i - 1] * (x - times[i - 1])
+    times, tau, eta, D, E, _, _ = g._table
+    pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
+    k = pa // qa
+    # the window less k is [X / (qa D), Y / (qb D)], 0 <= X / qa < D and
+    # X / qa < Y / qb <= X / qa + D < 2D
+    X, Y = (pa - k * qa) * D, (pb - k * qb) * D
+    i = bisect_right(tau, X // qa)  # tau[i - 1] <= X / qa < tau[i]
+    j = bisect_left(tau, -(-Y // qb))  # tau[j - 1] < Y / qb <= tau[j]
+    pos = a
+    num, den = _line(tau, eta, i - 1, X, qa)
     if i < j:
-        m = max(range(i, j), key=values.__getitem__)  # the first of the maxima
-        if values[m] > val:
-            pos, val = k + times[m], values[m]
-    right = values[j - 1] + slopes[j - 1] * (y - times[j - 1])
-    if right > val:
-        pos, val = b, right
-    return pos, val
+        m = max(range(i, j), key=eta.__getitem__)  # the first of the maxima
+        if eta[m] * den > num:
+            pos, num, den = times[m] if k == 0 else k + times[m], eta[m], 1
+    right, rden = _line(tau, eta, j - 1, Y, qb)
+    if right * den > num * rden:
+        pos, num, den = b, right, rden
+    return pos, num, den * E
 
 
 def sup_location(g: PiecewiseLinearPath, a: Rational, b: Rational) -> LocationResult:
@@ -174,36 +238,44 @@ def sup_location(g: PiecewiseLinearPath, a: Rational, b: Rational) -> LocationRe
 
 def truncated_sup_location(g: PiecewiseLinearPath, a: Rational, b: Rational) -> LocationResult:
     """Leftmost maximizer if the sup over [a, b] reaches 1/2, else INFINITY."""
-    pos, val = _sup(g, a, b)
-    return pos if val >= Fraction(1, 2) else INFINITY
+    pos, num, den = _sup(g, a, b)
+    return pos if 2 * num >= den else INFINITY
 
 
 def first_hit(g: PiecewiseLinearPath, level: Rational, a: Rational, b: Rational) -> LocationResult:
     """Smallest t in [a, b] with g(t) == level, or INFINITY."""
     level, a, b = as_rat(level), as_rat(a), as_rat(b)
-    _check_window(a, b, max_len=None)
-    starts, ends = _hits(g, level)[1]
+    _check_window(a, b, one_period=False)
+    _, (starts, _), H, starts_h, ends_h = _hits(g, level)
     if not starts:
         return INFINITY
-    k = floor(a)
-    x = a - k  # in [0, 1), so an interval of [0, 2) ends at or after x
-    j = bisect_left(ends, x)
-    t = a if starts[j] <= x else k + starts[j]
-    return t if t <= b else INFINITY
+    pa, qa = a.numerator, a.denominator
+    k = pa // qa
+    X = (pa - k * qa) * H  # a - k is X / (qa H), in [0, 1)
+    j = bisect_left(ends_h, -(-X // qa))  # the first interval ending at or after a - k
+    if starts_h[j] <= X // qa:
+        return a
+    if (k * H + starts_h[j]) * b.denominator > b.numerator * H:
+        return INFINITY
+    return starts[j] if k == 0 else k + starts[j]
 
 
 def last_hit(g: PiecewiseLinearPath, level: Rational, a: Rational, b: Rational) -> LocationResult:
     """Largest t in [a, b] with g(t) == level, or INFINITY."""
     level, a, b = as_rat(level), as_rat(a), as_rat(b)
-    _check_window(a, b, max_len=None)
-    starts, ends = _hits(g, level)[1]
-    if not starts:
+    _check_window(a, b, one_period=False)
+    _, (_, ends), H, starts_h, ends_h = _hits(g, level)
+    if not ends:
         return INFINITY
-    k = floor(b) - 1
-    y = b - k  # in [1, 2), so an interval of [0, 2) starts at or before y
-    j = bisect_right(starts, y) - 1
-    t = b if ends[j] >= y else k + ends[j]
-    return t if t >= a else INFINITY
+    pb, qb = b.numerator, b.denominator
+    k = pb // qb - 1
+    Y = (pb - k * qb) * H  # b - k is Y / (qb H), in [1, 2)
+    j = bisect_right(starts_h, Y // qb) - 1  # the last interval starting by b - k
+    if ends_h[j] >= -(-Y // qb):
+        return b
+    if (k * H + ends_h[j]) * a.denominator < a.numerator * H:
+        return INFINITY
+    return ends[j] if k == 0 else k + ends[j]
 
 
 def composite_location(g: PiecewiseLinearPath, a: Rational, b: Rational) -> LocationResult:

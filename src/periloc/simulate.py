@@ -12,18 +12,21 @@ a node or a hit interval enters or leaves the window; each run is then
 classified as a whole, and its interior samples are a node or hit time less
 the shifts.
 
-Every engine places every cut exactly. In the sup and truncated-sup
-engines the node cuts, and inside a run the roots of the affine differences
-between the path at the window ends, the highest inside node and 1/2, map
-to shift indices in integer arithmetic, and each index range is classified
-in integers. The hit engines map the exact hit interval starts and ends,
+Every engine places every cut exactly. The sup and truncated-sup engines
+read the integer node table of paths, rescaled so that T shares its time
+denominator. Their node cuts, and inside a run the roots of the affine
+differences between the path at the window ends, the highest inside node
+and 1/2, map to shift indices in integer arithmetic, and each index range
+is classified in integers. The hit engines map the exact hit interval starts and ends,
 and those less T, to shift indices the same way. So the engines count every
 shift as the exact locators do at its exact value, ties included; only the
 interior values are floats. One known fault is kept: the last-hit engine
 counts a last hit exactly at the window start as an interior sample at 0
 instead of an atom at 0. Any other callable, the bare functions of paths
-such as sup_location included, is evaluated exactly per shift, in
-rationals.
+such as sup_location included, is evaluated exactly per shift: it gets the
+shift u and u + T as Fractions, and a Fraction result is classified against
+them in integers, its interior value the correctly rounded float of the
+exact difference.
 
 The grid fill and compare work a block of at most _BLOCK floats at a time,
 in a few buffers of that size, so neither allocates a temporary as long as
@@ -185,7 +188,8 @@ def _sweep_sup(g: PiecewiseLinearPath, shifts: _Shifts, T: Fraction, loc: Locato
     """Counts (zero, T, inf) and interior pieces of the sup or truncated-sup
     locator loc.
 
-    Times are scaled to integers by dt and values by dy. Between two cuts,
+    The path's integer node table is rescaled: times to the denominator dt
+    that T shares, and values to dy, which 1/2 shares. Between two cuts,
     where a node enters or leaves the window [u, u + T], the nodes strictly
     inside are a fixed run of the two-period node table, and g(u) and
     g(u + T) each lie on one piece, so both are affine in u. The first
@@ -201,12 +205,10 @@ def _sweep_sup(g: PiecewiseLinearPath, shifts: _Shifts, T: Fraction, loc: Locato
     node at a window end is not inside.
     """
     truncated = loc.kind == "truncated-sup"
-    times, values, _, _, _ = g._table
-    dt = lcm(T.denominator, *(t.denominator for t in times))
-    dy = lcm(2, *(y.denominator for y in values))
-    tau = [t.numerator * (dt // t.denominator) for t in times] + [2 * dt]
-    eta = [y.numerator * (dy // y.denominator) for y in values]
-    eta.append(eta[0])
+    _, tau, eta, D, E, _, _ = g._table
+    dt, dy = lcm(D, T.denominator), lcm(2, E)
+    tau = [t * (dt // D) for t in tau]
+    eta = [y * (dy // E) for y in eta]
     theta, half = T.numerator * (dt // T.denominator), dy // 2
 
     def affines(p, q, best):
@@ -297,7 +299,7 @@ def _sweep_first_hit(g: PiecewiseLinearPath, shifts: _Shifts, T: Fraction, loc: 
     inside it, so four slices classify the run; shifts.bounds places every
     cut exactly.
     """
-    lo, hi = _hits(g, loc.level)[1]
+    lo, hi = _hits(g, loc.level).two
     count0 = countT = 0
     pieces, a = [], 0
     for s, e in zip(lo, hi):
@@ -324,7 +326,7 @@ def _sweep_last_hit(g: PiecewiseLinearPath, shifts: _Shifts, T: Fraction, loc: L
     sample e - u), then starts past it (infinity); shifts.bounds places every
     cut exactly.
     """
-    lo, hi = _hits(g, loc.level)[1]
+    lo, hi = _hits(g, loc.level).two
     runs = [shifts.bounds(x.numerator, x.denominator)[0] for x in (s - T for s in lo)]
     countT, pieces = 0, []
     for e, a, b in zip(hi, runs, runs[1:] + [shifts.n]):
@@ -343,11 +345,25 @@ def _sweep_last_hit(g: PiecewiseLinearPath, shifts: _Shifts, T: Fraction, loc: L
 
 def _generic_eval(g: PiecewiseLinearPath, shifts: _Shifts, T: Fraction, locator: Callable):
     """Counts (zero, T, inf) and the interior of any callable locator,
-    evaluated exactly at every shift."""
+    evaluated exactly at every shift. A Fraction result P/Q at the shift
+    num/den is classified in integers, by lambda = (P den - num Q) / (Q den);
+    any other result goes through Fraction arithmetic."""
     counts, values = [0, 0, 0], []
+    tn, td = T.numerator, T.denominator
     for i in range(shifts.n):
-        u = Fraction(*shifts.ratio(i))
-        out = locator(g, u, u + T)
+        num, den = shifts.ratio(i)
+        u = Fraction(num, den)
+        out = locator(g, u, Fraction(num * td + tn * den, den * td))
+        if type(out) is Fraction:
+            od = out.denominator
+            ln, ld = out.numerator * den - num * od, od * den
+            if ln == 0:
+                counts[_ZERO] += 1
+            elif ln * td == tn * ld:
+                counts[_AT_T] += 1
+            else:
+                values.append(ln / ld)  # int true division rounds as float(lambda)
+            continue
         if out == INFINITY:
             counts[_INF] += 1
             continue
@@ -400,7 +416,8 @@ def sweep_law(
     locator does at u = (2i+1)/(2n), exact ties included, but for one known
     fault: a last hit that lies exactly at the window start is an interior
     sample at 0, not an atom (on an odd grid u = 1/2 is a shift, so such
-    ties occur). Any other callable is evaluated exactly at every shift.
+    ties occur). Any other callable is evaluated exactly at every shift, and
+    its results are classified against the shift in integers.
     """
     T_rat = as_rat(T)
     if grid_n < 1:

@@ -130,6 +130,16 @@ class TestPiecewiseDensity:
         with pytest.raises(TypeError):
             as_rat(0.15)
 
+    def test_as_rat(self):
+        x = F(3, 4)
+        assert as_rat(x) is x
+        for bad in (True, False, 0.5, 1.0):
+            with pytest.raises(TypeError):
+                as_rat(bad)
+        for text, value in (("3/4", F(3, 4)), ("-2", F(-2)), ("0.25", F(1, 4))):
+            assert as_rat(text) == value and type(as_rat(text)) is F
+        assert as_rat(7) == 7 and type(as_rat(7)) is F
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             make_step_density([0, 1], [-1])

@@ -4,6 +4,7 @@ import pickle
 from fractions import Fraction as F
 from math import ceil
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -296,6 +297,26 @@ def tie_paths(draw):
     return PiecewiseLinearPath(tuple(zip(times, ys)))
 
 
+@st.composite
+def coprime_paths(draw):
+    """Node times on the 1/7, 1/11 and 1/13 lattices and node values with
+    denominators up to 7, so that the common denominators of the integer
+    tables grow large."""
+    k = draw(st.integers(1, 6))
+    dens = st.sampled_from([7, 11, 13])
+    times = draw(st.lists(dens.flatmap(lambda d: st.integers(1, d - 1).map(lambda n: F(n, d))), min_size=k, max_size=k, unique=True))
+    value = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 5, 7]))
+    y0 = draw(value)
+    ys = [y0] + [draw(value) for _ in times] + [y0]
+    return PiecewiseLinearPath(tuple(zip([F(0), *sorted(times), F(1)], ys)))
+
+
+# the exact shifts the sweeps pass to a locator: the midpoint grid
+# (2i+1)/(2n), and Fraction(x) of a Philox double
+grid_shift = st.integers(1, 10**6).flatmap(lambda n: st.integers(0, n - 1).map(lambda i: F(2 * i + 1, 2 * n)))
+philox_shift = st.integers(0, 2**32).map(lambda seed: F(float(np.random.Generator(np.random.Philox(seed)).random())))
+
+
 def same(x, y):
     return x == y and type(x) is type(y)
 
@@ -304,26 +325,37 @@ class TestTablesMatchPieceScan:
     """The tabled locators against the piece scan of tests/locator_reference.py,
     in value and in type."""
 
-    @given(tie_paths(), st.data())
-    @settings(max_examples=400)
+    @given(st.one_of(tie_paths(), coprime_paths()), st.data())
+    @settings(max_examples=600)
     def test_same_value_and_type(self, g, data):
         node_times = [t for t, _ in g.nodes]
-        # window ends on a node of some period, on the 1/40 lattice or off it
+        # window ends on a node of some period, on the 1/40 lattice or off
+        # it, or on a sweep lattice, moved by whole periods
         end = st.one_of(
             st.builds(lambda t, k: t + k, st.sampled_from(node_times), st.integers(-2, 2)),
             st.integers(-80, 120).map(lambda n: F(n, 40)),
             st.integers(-140, 210).map(lambda n: F(n, 70)),
+            st.builds(lambda u, k: u + k, st.one_of(grid_shift, philox_shift), st.integers(-2, 2)),
         )
-        a, b = sorted((data.draw(end), data.draw(end)))
+        a = data.draw(end)
+        if data.draw(st.booleans()):  # a sweep window [u, u + T]
+            b = a + data.draw(st.sampled_from([40, 7, 13, 30]).flatmap(lambda d: st.integers(1, d).map(lambda n: F(n, d))))
+        else:
+            b = data.draw(end)
+        a, b = sorted((a, b))
         assume(a < b)
         a += max(0, ceil(b - a) - 3)  # hit windows up to three periods long
-        level = data.draw(st.one_of(st.sampled_from([y for _, y in g.nodes]), st.just(F(1, 2)), tie_values, rat_small))
+        non_unit = st.builds(F, st.integers(-12, 12), st.sampled_from([3, 7, 11]))
+        level = data.draw(st.one_of(st.sampled_from([y for _, y in g.nodes]), st.just(F(1, 2)), tie_values, rat_small, non_unit))
         assert same(first_hit(g, level, a, b), ref.first_hit(g, level, a, b))
         assert same(last_hit(g, level, a, b), ref.last_hit(g, level, a, b))
         if b - a <= 1:
             assert same(sup_location(g, a, b), ref.sup_location(g, a, b))
             assert same(truncated_sup_location(g, a, b), ref.truncated_sup_location(g, a, b))
             assert same(composite_location(g, a, b), ref.composite_location(g, a, b))
+        x = data.draw(st.sampled_from([a, b])) % 1
+        (t0, y0), (t1, y1) = next(n for n in zip(g.nodes, g.nodes[1:]) if n[0][0] <= x < n[1][0])
+        assert same(eval_path(g, x), y0 + (y1 - y0) * (x - t0) / (t1 - t0))
 
     def test_flat_max_and_flat_level(self):
         plateau = PiecewiseLinearPath(

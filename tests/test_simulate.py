@@ -438,6 +438,106 @@ class TestLocatorDispatch:
             sweep_law(TRIANGLE, "first-hit:1/0", F(1, 2), 10)
 
 
+def fraction_law(g, locator, T, shifts):
+    """The generic loop's classification in Fraction arithmetic: each result
+    less its shift is compared with 0 and T, and its float is the interior
+    value."""
+    codes = np.full(len(shifts), ref._CODE_INTERIOR, dtype=np.int8)
+    values = np.zeros(len(shifts))
+    for i, x in enumerate(shifts):
+        out = locator(g, x, x + T)
+        if out == INFINITY:
+            codes[i] = ref._CODE_INF
+            continue
+        lam = out - x
+        if lam == 0:
+            codes[i] = ref._CODE_ZERO
+        elif lam == T:
+            codes[i] = ref._CODE_T
+        else:
+            values[i] = float(lam)
+    return ref.collect(T, codes, values)
+
+
+def whole_as_int(g, a, b):
+    """sup_location, with a whole-number location as an int."""
+    out = sup_location(g, a, b)
+    return int(out) if out.denominator == 1 else out
+
+
+def other_infinity(g, a, b):
+    """first_hit of 1/2, with a float inf that is not paths.INFINITY."""
+    out = first_hit(g, F(1, 2), a, b)
+    return float("inf") if out == INFINITY else out
+
+
+def as_float(g, a, b):
+    """truncated_sup_location as a float."""
+    return float(truncated_sup_location(g, a, b))
+
+
+def copy_of_an_end(g, a, b):
+    """A new Fraction equal to the window end nearer the leftmost maximizer."""
+    out = sup_location(g, a, b)
+    end = a if 2 * out <= a + b else b
+    return F(end.numerator, end.denominator)
+
+
+GENERIC_RESULTS = [whole_as_int, other_infinity, as_float, copy_of_an_end]
+# the maximum at the period seam, so that sup windows over 1 end there
+SEAM_PEAK = PiecewiseLinearPath(((0, 1), (F(1, 3), 0), (F(1, 2), F(1, 2)), (1, 1)))
+
+
+class TestGenericEval:
+    """The per-shift loop classifies every result as Fraction arithmetic
+    does, whatever its type."""
+
+    @pytest.mark.parametrize("locator", GENERIC_RESULTS)
+    @given(g=st.one_of(st.just(SEAM_PEAK), tie_paths()), T=horizons, n=st.sampled_from(GRIDS), seed=st.integers(0, 2**32))
+    @settings(max_examples=25, deadline=None)
+    def test_same_as_fraction_arithmetic(self, locator, g, T, n, seed):
+        grid = [F(2 * i + 1, 2 * n) for i in range(n)]
+        assert_same_bytes(sweep_law(g, locator, T, n), fraction_law(g, locator, T, grid))
+        u = np.sort(np.random.Generator(np.random.Philox(seed)).random(n))
+        assert_same_bytes(mc_law(g, locator, T, n, seed), fraction_law(g, locator, T, [F(x) for x in u.tolist()]))
+
+    def test_each_result_type_occurs(self):
+        T, n = F(2, 5), 53
+        emp = sweep_law(SEAM_PEAK, whole_as_int, T, n)
+        assert any(isinstance(whole_as_int(SEAM_PEAK, F(2 * i + 1, 2 * n), F(2 * i + 1, 2 * n) + T), int) for i in range(n))
+        assert_same_bytes(emp, fraction_law(SEAM_PEAK, whole_as_int, T, [F(2 * i + 1, 2 * n) for i in range(n)]))
+        ends = sweep_law(SEAM_PEAK, copy_of_an_end, T, n)
+        assert ends.count0 > 0 and ends.countT > 0 and ends.count0 + ends.countT == n
+        assert sweep_law(SEAM_PEAK, other_infinity, T, n).countInf > 0
+        assert len(sweep_law(SEAM_PEAK, as_float, T, n).interior) > 0
+
+
+FIVE_NODES = PiecewiseLinearPath(((0, -2), (F(3, 10), 1), (F(1, 2), 2), (F(11, 15), -1), (1, -2)))
+
+
+@pytest.mark.parametrize(
+    "locator",
+    [lambda g, a, b: sup_location(g, a, b), lambda g, a, b: first_hit(g, -1, a, b)],
+    ids=["sup", "first-hit"],
+)
+def test_fraction_constructions_per_shift(monkeypatch, locator):
+    """A work guard: the per-shift loop builds u and u + T, and the integer
+    kernels of paths add at most one Fraction per call (here the int level
+    of first_hit)."""
+    g, T, n = FIVE_NODES, F(5, 6), 997
+    locator(g, F(1, 2), F(3, 2))  # build the path's tables first
+    made, new = [0], F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting_new))
+    sweep_law(g, locator, T, n)
+    monkeypatch.undo()
+    assert made[0] <= 3 * n
+
+
 class TestMonteCarlo:
     def test_seed_reproducible(self):
         a = mc_law(TRIANGLE, "sup", 1, 5_000, seed=42)
